@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the library's hot kernels:
 // one propagation step of each SimRank backend, DMST construction, the
-// sparse sandwich product, symmetric-difference merges and the SVD.
+// sparse sandwich product, symmetric-difference merges, the SVD, the
+// serve-path vector kernels and single-source row serialization.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <random>
 
 #include "simrank/benchlib/datasets.h"
+#include "simrank/common/json_writer.h"
 #include "simrank/common/simd.h"
 #include "simrank/common/varint.h"
 #include "simrank/core/dmst.h"
@@ -16,6 +18,7 @@
 #include "simrank/core/psum.h"
 #include "simrank/gen/generators.h"
 #include "simrank/graph/set_ops.h"
+#include "simrank/index/walk_index.h"
 #include "simrank/linalg/sparse_matrix.h"
 #include "simrank/linalg/svd.h"
 
@@ -304,6 +307,49 @@ void BM_SingleSourceAccumulate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * items);
 }
 BENCHMARK(BM_SingleSourceAccumulate)->Arg(0)->Arg(1)->Arg(2);
+
+// ---------------------------------------------------------------------------
+// Serialize layer of the serve path: one single-source row of a 10k-vertex
+// walk index (128 fingerprints, walk length 8) formatted through JsonWriter
+// exactly as the server's /v1/single_source handler does.
+
+void BM_JsonSingleSourceRow(benchmark::State& state) {
+  gen::WebGraphParams params;
+  params.n = 10000;
+  params.out_degree = 3;
+  params.copy_prob = 0.5;
+  params.in_copy_prob = 0.3;
+  params.seed = 7;
+  auto graph = gen::WebGraph(params);
+  OIPSIM_CHECK(graph.ok());
+  WalkIndexOptions options;
+  options.num_fingerprints = 128;
+  options.walk_length = 8;
+  options.num_threads = 2;
+  auto index = WalkIndex::Build(*graph, options);
+  OIPSIM_CHECK(index.ok());
+  const VertexId source = static_cast<VertexId>(state.range(0));
+  const std::vector<double> row = index->EstimateSingleSource(source);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    JsonWriter json;
+    json.Reserve(32 + JsonDoubleArrayBound(row));
+    json.BeginObject().Key("v").Uint(source).Key("scores").BeginArray();
+    for (const double score : row) json.Double(score);
+    json.EndArray().EndObject();
+    const std::string body = std::move(json).Take();
+    bytes = body.size();
+    benchmark::DoNotOptimize(body.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * row.size());
+  state.SetBytesProcessed(state.iterations() * bytes);
+  state.counters["row_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_JsonSingleSourceRow)
+    ->Arg(0)
+    ->Arg(17)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace simrank

@@ -42,7 +42,7 @@ std::string ErrorBody(std::string_view code, std::string_view message) {
       .String(message)
       .EndObject()
       .EndObject();
-  return json.str();
+  return std::move(json).Take();
 }
 
 bool ParseVertexParam(const HttpRequest& request, std::string_view name,
@@ -692,7 +692,7 @@ SimRankRouter::RouterResponse SimRankRouter::HandlePair(
       .Double(score)
       .EndObject();
   response.status = 200;
-  response.body = json.str();
+  response.body = std::move(json).Take();
   return response;
 }
 
@@ -827,14 +827,16 @@ SimRankRouter::RouterResponse SimRankRouter::HandleSingleSource(
     // The shard ranges partition [0, n) in order, so the concatenated
     // slices are the full single-node score row, bit for bit.
     TraceScope merge(TraceStage::kMerge);
-    JsonWriter json;
-    json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
     const double* values = reinterpret_cast<const double*>(scores.data());
     const size_t count = scores.size() / sizeof(double);
+    JsonWriter json;
+    // 32: room for the {"v":…,"scores":…} envelope around the row.
+    json.Reserve(32 + JsonDoubleArrayBound({values, count}));
+    json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
     for (size_t i = 0; i < count; ++i) json.Double(values[i]);
     json.EndArray().EndObject();
     response.status = 200;
-    response.body = json.str();
+    response.body = std::move(json).Take();
     return response;
   }
   return Unavailable(
@@ -993,7 +995,7 @@ SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
     }
     json.EndArray().EndObject();
     response.status = 200;
-    response.body = json.str();
+    response.body = std::move(json).Take();
     return response;
   }
   return Unavailable(
@@ -1037,7 +1039,7 @@ SimRankRouter::RouterResponse SimRankRouter::HandleBatchPair(
   for (const double score : scores) json.Double(score);
   json.EndArray().EndObject();
   response.status = 200;
-  response.body = json.str();
+  response.body = std::move(json).Take();
   return response;
 }
 
@@ -1146,7 +1148,7 @@ SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
       .Uint(static_cast<uint64_t>(results[0].wal_records))
       .EndObject();
   response.status = 200;
-  response.body = json.str();
+  response.body = std::move(json).Take();
   return response;
 }
 
@@ -1203,7 +1205,7 @@ SimRankRouter::RouterResponse SimRankRouter::BuildStats() {
   json.EndObject();
   RouterResponse response;
   response.status = 200;
-  response.body = json.str();
+  response.body = std::move(json).Take();
   return response;
 }
 
@@ -1544,7 +1546,7 @@ SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
   json.EndObject();
   RouterResponse response;
   response.status = 200;
-  response.body = json.str();
+  response.body = std::move(json).Take();
   return response;
 }
 

@@ -6,13 +6,17 @@
 // must follow a Key(), containers must be closed in order, exactly one
 // root value — via OIPSIM_CHECK, so a malformed emission sequence is a
 // programming error caught in tests, never invalid JSON on the wire.
-// Doubles render with the shortest decimal form that round-trips the exact
-// bit pattern, which is what lets clients (and the serving tests) compare
-// served scores bitwise against direct QueryEngine results.
+// Doubles render as printf("%.*g") at the smallest precision in 15..17
+// that parses back to the exact bit pattern, which is what lets clients
+// (and the serving tests) compare served scores bitwise against direct
+// QueryEngine results. All numbers are formatted with <charconv> straight
+// into the output buffer, so the text never depends on the C locale.
 #ifndef OIPSIM_SIMRANK_COMMON_JSON_WRITER_H_
 #define OIPSIM_SIMRANK_COMMON_JSON_WRITER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,25 +40,33 @@ class JsonWriter {
   JsonWriter& String(std::string_view value);
   JsonWriter& Int(int64_t value);
   JsonWriter& Uint(uint64_t value);
-  /// Shortest round-trip form; non-finite values (no JSON spelling) render
+  /// Formatted as JsonDouble; non-finite values (no JSON spelling) render
   /// as null.
   JsonWriter& Double(double value);
   JsonWriter& Bool(bool value);
   JsonWriter& Null();
 
+  /// Pre-sizes the output buffer for a document of about `bytes` bytes.
+  JsonWriter& Reserve(size_t bytes);
+
   /// The finished document. All containers must be closed.
   const std::string& str() const;
+  /// The finished document, moved out of the writer (same check as str()).
+  std::string Take() &&;
 
  private:
   /// Comma/colon bookkeeping before a value is appended.
   void BeforeValue();
 
-  enum class Frame : uint8_t { kObject, kArray };
+  /// One open container.
+  struct Frame {
+    enum class Kind : uint8_t { kObject, kArray } kind;
+    /// Members already emitted in it.
+    bool has_members = false;
+  };
 
   std::string out_;
   std::vector<Frame> stack_;
-  /// Members already emitted in each open container (parallel to stack_).
-  std::vector<bool> has_members_;
   bool pending_key_ = false;
   bool root_emitted_ = false;
 };
@@ -63,10 +75,18 @@ class JsonWriter {
 /// control characters), without the surrounding quotes.
 void JsonEscape(std::string_view value, std::string* out);
 
-/// Formats `value` as the shortest decimal string that parses back to the
-/// same double ("0.6", not "0.59999999999999998"); non-finite values yield
-/// "null".
+/// Formats `value` as printf("%.*g", P) would in the "C" locale, for the
+/// smallest P in 15..17 whose text parses back to the same double ("0.6",
+/// not "0.59999999999999998"). That is the shortest round-trip text for
+/// most values, but not all: at powers of two and for subnormals it can be
+/// longer. ±0 gives "0"/"-0"; non-finite values yield "null". At most 24
+/// characters ("-2.2250738585072014e-308").
 std::string JsonDouble(double value);
+
+/// Upper bound on the bytes a JSON array of `values` takes, brackets and
+/// commas included (+0 prints as one character, anything else as at most
+/// 24).
+size_t JsonDoubleArrayBound(std::span<const double> values);
 
 }  // namespace simrank
 

@@ -2,8 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
+#include <system_error>
 
 #include "simrank/common/string_util.h"
 
@@ -34,7 +35,9 @@ double FindJsonNumber(const std::string& body, const std::string& key,
                    body.c_str());
   const size_t value_at = at + needle.size();
   if (cursor != nullptr) *cursor = value_at;
-  return std::strtod(body.c_str() + value_at, nullptr);
+  double value = 0.0;  // stays 0 when no number follows
+  std::from_chars(body.data() + value_at, body.data() + body.size(), value);
+  return value;
 }
 
 std::vector<double> FindJsonNumberArray(const std::string& body,
@@ -44,14 +47,18 @@ std::vector<double> FindJsonNumberArray(const std::string& body,
   OIPSIM_CHECK_MSG(at != std::string::npos, "no \"%s\" array in %s",
                    key.c_str(), body.c_str());
   std::vector<double> values;
-  const char* cursor = body.c_str() + at + needle.size();
-  while (*cursor != ']') {
-    char* next = nullptr;
-    values.push_back(std::strtod(cursor, &next));
-    OIPSIM_CHECK_MSG(next != cursor, "malformed number array in %s",
+  const char* const end = body.data() + body.size();
+  const char* cursor = body.data() + at + needle.size();
+  while (cursor != end && *cursor != ']') {
+    double value = 0.0;
+    const auto [next, error] = std::from_chars(cursor, end, value);
+    OIPSIM_CHECK_MSG(error == std::errc(), "malformed number array in %s",
                      body.c_str());
-    cursor = *next == ',' ? next + 1 : next;
+    values.push_back(value);
+    cursor = next != end && *next == ',' ? next + 1 : next;
   }
+  OIPSIM_CHECK_MSG(cursor != end, "unterminated number array in %s",
+                   body.c_str());
   return values;
 }
 

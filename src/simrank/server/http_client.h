@@ -98,15 +98,18 @@ Result<HttpClientResponse> HttpPost(uint16_t port, const std::string& target,
 
 /// The number following `"key":` in `body`, searched from `*cursor` (or
 /// the start when null); `*cursor` advances past the key so repeated
-/// fields can be walked in order. The server emits doubles in shortest-
-/// round-trip form, so the value parses back bit-exact — the serving
-/// tests and bench compare it bitwise against direct QueryEngine results.
-/// Aborts (checked error) when the key is absent: these are verification
-/// helpers, not a JSON parser.
+/// fields can be walked in order; 0 when no number follows the key. The
+/// server emits doubles in a round-trip form (see JsonDouble), so the
+/// value parses back bit-exact — the serving tests and bench compare it
+/// bitwise against direct QueryEngine results. Parsing is std::from_chars:
+/// locale-independent, bounded by the body's size. Aborts (checked error)
+/// when the key is absent: these are verification helpers, not a JSON
+/// parser.
 double FindJsonNumber(const std::string& body, const std::string& key,
                       size_t* cursor = nullptr);
 
-/// The array of numbers following `"key":[` in `body`, in order.
+/// The array of numbers following `"key":[` in `body`, in order. Aborts
+/// (checked error) on a malformed or unterminated array.
 std::vector<double> FindJsonNumberArray(const std::string& body,
                                         const std::string& key);
 

@@ -78,7 +78,7 @@ std::string ErrorBody(std::string_view code, std::string_view message) {
       .String(message)
       .EndObject()
       .EndObject();
-  return json.str();
+  return std::move(json).Take();
 }
 
 /// HTTP status + body for a query or update that failed inside the engine
@@ -109,7 +109,7 @@ std::pair<int, std::string> ExecutePair(QueryEngine& engine,
       .Key("score")
       .Double(*score)
       .EndObject();
-  return {200, json.str()};
+  return {200, std::move(json).Take()};
 }
 
 std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
@@ -118,10 +118,12 @@ std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
   if (!row.ok()) return EngineErrorResponse(row.status());
   TraceScope serialize(TraceStage::kSerialize);
   JsonWriter json;
+  // 32: room for the {"v":…,"scores":…} envelope around the row.
+  json.Reserve(32 + JsonDoubleArrayBound(**row));
   json.BeginObject().Key("v").Uint(args.v).Key("scores").BeginArray();
   for (const double score : **row) json.Double(score);
   json.EndArray().EndObject();
-  return {200, json.str()};
+  return {200, std::move(json).Take()};
 }
 
 std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
@@ -146,7 +148,7 @@ std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
         .EndObject();
   }
   json.EndArray().EndObject();
-  return {200, json.str()};
+  return {200, std::move(json).Take()};
 }
 
 }  // namespace
@@ -219,7 +221,7 @@ std::pair<int, std::string> ExecuteBatchPair(QueryEngine& engine,
       .BeginArray();
   for (const auto& answer : answers) json.Double(*answer);
   json.EndArray().EndObject();
-  return {200, json.str()};
+  return {200, std::move(json).Take()};
 }
 
 std::pair<int, std::string> ExecuteUpdate(QueryEngine& engine,
@@ -248,7 +250,7 @@ std::pair<int, std::string> ExecuteUpdate(QueryEngine& engine,
       .Key("wal_records")
       .Uint(stats.wal_records)
       .EndObject();
-  return {200, json.str()};
+  return {200, std::move(json).Take()};
 }
 
 std::pair<int, std::string> ExecuteCompact(IndexUpdater& updater,
@@ -280,7 +282,7 @@ std::pair<int, std::string> ExecuteCompact(IndexUpdater& updater,
       .Key("graph_fingerprint")
       .String(FormatFingerprint(stats.current_graph_fingerprint))
       .EndObject();
-  return {200, json.str()};
+  return {200, std::move(json).Take()};
 }
 
 /// A consistent view for one internal exchange: the overlay snapshot the
@@ -2060,7 +2062,7 @@ std::string SimRankServer::BuildStatsBody() const {
   json.Key("resident_bytes").Uint(index.SizeBytes());
   json.EndObject();
   json.EndObject();
-  return json.str();
+  return std::move(json).Take();
 }
 
 std::string SimRankServer::BuildMetricsBody() const {

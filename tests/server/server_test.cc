@@ -20,6 +20,7 @@
 #include "simrank/index/walk_index.h"
 #include "simrank/server/http_client.h"
 #include "testing/fixtures.h"
+#include "testing/legacy_json.h"
 
 namespace simrank {
 namespace {
@@ -155,6 +156,26 @@ TEST(ServerTest, SingleSourceRowMatchesBitwise) {
       EXPECT_EQ(std::memcmp(&served[i], &expected[i], sizeof(double)), 0)
           << "row " << v << " entry " << i;
     }
+  }
+}
+
+TEST(ServerTest, SingleSourceBodyMatchesLegacyFormatting) {
+  ServerFixture fixture;
+  auto client = LoopbackHttpClient::Connect(fixture.port());
+  ASSERT_TRUE(client.ok());
+  for (VertexId v : {0u, 17u, 59u}) {
+    auto response = client->Get(StrFormat("/v1/single_source?v=%u", v));
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->status, 200) << response->body;
+    auto direct = fixture.reference().SingleSource(v);
+    ASSERT_TRUE(direct.ok());
+    std::string expected = StrFormat("{\"v\":%u,\"scores\":[", v);
+    for (const double score : **direct) {
+      if (expected.back() != '[') expected += ',';
+      expected += testing::LegacyJsonDouble(score);
+    }
+    expected += "]}";
+    EXPECT_EQ(response->body, expected) << "row " << v;
   }
 }
 
