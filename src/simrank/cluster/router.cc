@@ -1,12 +1,10 @@
 #include "simrank/cluster/router.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "simrank/common/build_info.h"
@@ -18,31 +16,43 @@
 #include "simrank/index/segment_reader.h"
 #include "simrank/server/server.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define OIPSIM_ROUTER_HAVE_SOCKETS 1
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-#endif
-
 namespace simrank {
 namespace {
 
-std::string ErrorBody(std::string_view code, std::string_view message) {
-  JsonWriter json;
-  json.BeginObject()
-      .Key("error")
-      .BeginObject()
-      .Key("code")
-      .String(code)
-      .Key("message")
-      .String(message)
-      .EndObject()
-      .EndObject();
-  return std::move(json).Take();
+// Router handlers block on shard I/O: a fan-out holds its worker from the
+// row fetch until the slowest shard answers. The worker count therefore
+// bounds concurrent shard exchanges (and pooled shard connections), not
+// CPU use, which is why it is fixed well above a core count instead of
+// following the hardware.
+constexpr uint32_t kRouterWorkers = 16;
+// Admission caps: beyond them a request is refused with 429/503 +
+// Retry-After instead of queueing behind shard I/O without bound.
+constexpr uint32_t kRouterMaxInflight = 64;
+constexpr uint32_t kRouterMaxEndpointInflight = 32;
+
+FrontendOptions RouterFrontendOptions(const RouterOptions& options) {
+  FrontendOptions frontend;
+  frontend.bind_address = options.bind_address;
+  frontend.port = options.port;
+  frontend.threads = kRouterWorkers;
+  frontend.max_inflight = kRouterMaxInflight;
+  frontend.max_class_inflight = kRouterMaxEndpointInflight;
+  frontend.retry_after_seconds = options.retry_after_seconds;
+  frontend.http = options.http;
+  frontend.profile_log_path = options.profile_log_path;
+  frontend.profile_log_hz = options.profile_log_hz;
+  frontend.profile_log_period_s = options.profile_log_period_s;
+  frontend.metrics_history_window_s = options.metrics_history_window_s;
+  frontend.metrics_history_interval_ms = options.metrics_history_interval_ms;
+  frontend.loop_name = "router-loop";
+  return frontend;
+}
+
+uint64_t UnixSeconds() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::seconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
 bool ParseVertexParam(const HttpRequest& request, std::string_view name,
@@ -63,17 +73,6 @@ bool ParseVertexParam(const HttpRequest& request, std::string_view name,
   return true;
 }
 
-/// Parses a 16-hex-digit fingerprint header value.
-bool ParseHexFingerprint(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 16);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
 /// Prefixes a Prometheus label block with shard/role labels, e.g.
 /// `{endpoint="pair"}` + shard 1 primary ->
 /// `{shard="1",role="primary",endpoint="pair"}`.
@@ -84,22 +83,6 @@ std::string InjectShardLabels(const std::string& labels, uint32_t shard_id,
   if (labels.empty()) return "{" + injected + "}";
   return "{" + injected + "," + labels.substr(1);
 }
-
-#if OIPSIM_ROUTER_HAVE_SOCKETS
-bool SendAll(int fd, std::string_view bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-#endif
 
 }  // namespace
 
@@ -199,14 +182,71 @@ class SimRankRouter::ClientPool {
   std::vector<LoopbackHttpClient> idle_;
 };
 
+struct SimRankRouter::Exchange {
+  ClientPool* pool = nullptr;
+  /// The connection the request went out on, or why it could not be sent.
+  Result<LoopbackHttpClient> client = Status::IoError("not sent");
+};
+
 SimRankRouter::SimRankRouter(RouterOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      frontend_(RouterFrontendOptions(options_), ServerEndpointClasses(),
+                [this] { return BuildMetrics(); }) {
+  // The query routes count themselves on the loop thread and run on a
+  // worker (the handler blocks on shard I/O).
+  auto routed = [this](ServerEndpoint endpoint,
+                       std::atomic<uint64_t>* counter,
+                       FrontendResponse (SimRankRouter::*handle)(
+                           const HttpRequest&)) {
+    FrontendRoute route;
+    route.path = ServerEndpointPath(endpoint);
+    route.method = ServerEndpointMethod(endpoint);
+    route.admission_class = static_cast<uint32_t>(endpoint);
+    route.prepare = [this, counter, handle](const HttpRequest& request,
+                                            FrontendResponse*) {
+      counter->fetch_add(1, std::memory_order_relaxed);
+      return FrontendWork(
+          [this, handle, request] { return (this->*handle)(request); });
+    };
+    frontend_.AddRoute(std::move(route));
+  };
+  routed(ServerEndpoint::kPair, &stat_requests_pair_,
+         &SimRankRouter::HandlePair);
+  routed(ServerEndpoint::kSingleSource, &stat_requests_single_source_,
+         &SimRankRouter::HandleSingleSource);
+  routed(ServerEndpoint::kTopK, &stat_requests_topk_,
+         &SimRankRouter::HandleTopK);
+  routed(ServerEndpoint::kBatchPair, &stat_requests_batch_pair_,
+         &SimRankRouter::HandleBatchPair);
+  routed(ServerEndpoint::kUpdate, &stat_requests_update_,
+         &SimRankRouter::HandleUpdate);
+
+  auto answered = [this](std::string path, std::atomic<uint64_t>* counter,
+                         std::string (SimRankRouter::*build)() const,
+                         const char* content_type) {
+    FrontendRoute route;
+    route.path = std::move(path);
+    route.answer = [this, counter, build,
+                    content_type](const HttpRequest&) {
+      counter->fetch_add(1, std::memory_order_relaxed);
+      return FrontendResponse{200, (this->*build)(), content_type};
+    };
+    frontend_.AddRoute(std::move(route));
+  };
+  answered("/v1/stats", &stat_requests_stats_, &SimRankRouter::BuildStats,
+           "application/json");
+  answered("/metrics", &stat_requests_metrics_, &SimRankRouter::BuildMetrics,
+           "text/plain; version=0.0.4");
+  answered("/v1/cluster/health", &stat_requests_cluster_health_,
+           &SimRankRouter::BuildClusterHealth, "application/json");
+}
 
 SimRankRouter::~SimRankRouter() { Shutdown(); }
 
 RouterStats SimRankRouter::stats() const {
+  const FrontendStats frontend = frontend_.stats();
   RouterStats stats;
-  stats.requests_total = stat_requests_total_.load(std::memory_order_relaxed);
+  stats.requests_total = frontend.requests;
   stats.requests_pair = stat_requests_pair_.load(std::memory_order_relaxed);
   stats.requests_single_source =
       stat_requests_single_source_.load(std::memory_order_relaxed);
@@ -216,42 +256,26 @@ RouterStats SimRankRouter::stats() const {
   stats.requests_update =
       stat_requests_update_.load(std::memory_order_relaxed);
   stats.requests_stats = stat_requests_stats_.load(std::memory_order_relaxed);
-  stats.requests_healthz =
-      stat_requests_healthz_.load(std::memory_order_relaxed);
+  stats.requests_healthz = frontend.healthz;
   stats.requests_metrics =
       stat_requests_metrics_.load(std::memory_order_relaxed);
-  stats.responses_2xx = stat_responses_2xx_.load(std::memory_order_relaxed);
-  stats.responses_4xx = stat_responses_4xx_.load(std::memory_order_relaxed);
-  stats.responses_5xx = stat_responses_5xx_.load(std::memory_order_relaxed);
+  stats.responses_2xx = frontend.responses_2xx;
+  stats.responses_4xx = frontend.responses_4xx;
+  stats.responses_5xx = frontend.responses_5xx;
   stats.failovers = stat_failovers_.load(std::memory_order_relaxed);
   stats.conflicts_retried =
       stat_conflicts_retried_.load(std::memory_order_relaxed);
   stats.shard_errors = stat_shard_errors_.load(std::memory_order_relaxed);
-  stats.traced_requests =
-      stat_traced_requests_.load(std::memory_order_relaxed);
+  stats.traced_requests = frontend.traced_requests;
   stats.requests_cluster_health =
       stat_requests_cluster_health_.load(std::memory_order_relaxed);
-  stats.requests_debug_profile =
-      stat_requests_debug_profile_.load(std::memory_order_relaxed);
-  stats.requests_debug_timeseries =
-      stat_requests_debug_timeseries_.load(std::memory_order_relaxed);
+  stats.requests_debug_profile = frontend.debug_profile;
+  stats.requests_debug_timeseries = frontend.debug_timeseries;
   stats.scrape_rounds = stat_scrape_rounds_.load(std::memory_order_relaxed);
   stats.scrape_failures =
       stat_scrape_failures_.load(std::memory_order_relaxed);
   return stats;
 }
-
-void SimRankRouter::CountResponse(int status) {
-  if (status >= 200 && status < 300) {
-    stat_responses_2xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status >= 400 && status < 500) {
-    stat_responses_4xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status >= 500) {
-    stat_responses_5xx_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-#if OIPSIM_ROUTER_HAVE_SOCKETS
 
 Status SimRankRouter::Bind() {
   OIPSIM_RETURN_IF_ERROR(options_.Validate());
@@ -286,242 +310,83 @@ Status SimRankRouter::Bind() {
       }
     }
   }
-  if (options_.metrics_history_window_s > 0 && metrics_history_ == nullptr) {
-    MetricsHistory::Options history_options;
-    history_options.window_seconds = options_.metrics_history_window_s;
-    history_options.interval_ms = options_.metrics_history_interval_ms;
-    metrics_history_ = std::make_unique<MetricsHistory>(history_options);
-  }
-  if (!options_.profile_log_path.empty() && profile_logger_ == nullptr) {
-    ProfileLogger::Options logger_options;
-    logger_options.path = options_.profile_log_path;
-    logger_options.frequency_hz = options_.profile_log_hz;
-    logger_options.period_seconds = options_.profile_log_period_s;
-    // A slice of each period, matching the server: full duty would hold
-    // the singleton profiler and starve on-demand sessions.
-    logger_options.duty_cycle = 0.1;
-    auto logger = ProfileLogger::Start(logger_options);
-    if (!logger.ok()) return logger.status();
-    profile_logger_ = std::move(*logger);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IoError("socket() failed");
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument(
-        StrFormat("cannot parse bind address '%s'",
-                  options_.bind_address.c_str()));
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string message = StrFormat(
-        "cannot bind %s:%u: %s", options_.bind_address.c_str(),
-        options_.port, std::strerror(errno));
-    ::close(fd);
-    return Status::IoError(message);
-  }
-  if (::listen(fd, 128) != 0) {
-    ::close(fd);
-    return Status::IoError("listen() failed");
-  }
-  sockaddr_in bound = {};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    ::close(fd);
-    return Status::IoError("getsockname() failed");
-  }
-  listen_fd_ = fd;
-  port_ = ntohs(bound.sin_port);
-  return Status::OK();
+  return frontend_.Bind();
 }
 
 Status SimRankRouter::Start() {
-  if (listen_fd_ < 0) {
+  if (frontend_.port() == 0) {
     return Status::InvalidArgument("Start() requires a successful Bind()");
   }
-  stop_.store(false, std::memory_order_relaxed);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  StartDiagnostics();
+  if (serve_thread_.joinable()) {
+    return Status::InvalidArgument("Start() called twice");
+  }
+  serve_thread_ = std::thread([this] {
+    const Status served = frontend_.Serve();
+    if (!served.ok()) {
+      std::fprintf(stderr, "simrank_router: event loop failed: %s\n",
+                   served.ToString().c_str());
+    }
+  });
+  if (options_.scrape_interval_ms > 0) {
+    scrape_stop_.store(false, std::memory_order_release);
+    scrape_thread_ = std::thread([this] { ScrapeLoop(); });
+  }
   return Status::OK();
 }
 
-void SimRankRouter::RequestStop() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-}
+void SimRankRouter::RequestStop() { frontend_.Shutdown(); }
 
 void SimRankRouter::Shutdown() {
-  StopDiagnostics();
-  stop_.store(true, std::memory_order_relaxed);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
-  }
+  scrape_stop_.store(true, std::memory_order_release);
+  if (scrape_thread_.joinable()) scrape_thread_.join();
+  frontend_.Shutdown();
+  if (serve_thread_.joinable()) serve_thread_.join();
 }
 
-void SimRankRouter::AcceptLoop() {
-  ScopedProfiledThread profiled("router-accept");
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener closed by Shutdown, or a fatal error
-    }
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    // A short receive timeout keeps idle keep-alive handlers polling the
-    // stop flag instead of blocking in recv forever.
-    timeval tv = {};
-    tv.tv_usec = 200 * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    connection_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void SimRankRouter::HandleConnection(int fd) {
-  ScopedProfiledThread profiled("router-conn");
-  std::string buffer;
-  while (true) {
-    HttpRequest request;
-    const HttpParseStatus parsed =
-        ParseHttpRequest(buffer, options_.http, &request);
-    if (parsed.outcome == HttpParseStatus::kComplete) {
-      stat_requests_total_.fetch_add(1, std::memory_order_relaxed);
-      // Trace activation mirrors the single-node server: ?trace=1 splices
-      // the merged trace into the JSON envelope, an X-Simrank-Trace header
-      // returns it out-of-band in X-Simrank-Trace-Json (bodies stay
-      // byte-identical). Either way the recorder is bound to this
-      // connection thread for the whole routed request, and every shard
-      // exchange carries the trace id so shard sub-traces come back as
-      // children of the router trace.
-      const std::string* trace_param = request.FindParam("trace");
-      const bool trace_inline =
-          trace_param != nullptr && *trace_param == "1";
-      uint64_t trace_id = 0;
-      bool trace_header = false;
-      if (const std::string* header = request.FindHeader("x-simrank-trace");
-          header != nullptr) {
-        trace_header = ParseTraceId(*header, &trace_id);
-      }
-      const bool traced = trace_inline || trace_header;
-      std::optional<TraceRecorder> recorder;
-      if (traced) recorder.emplace(trace_id);
-      RouterResponse response;
-      {
-        TraceBinding binding(traced ? &*recorder : nullptr);
-        TraceScope root(TraceStage::kRequest, request.path);
-        response = Route(request);
-      }
-      if (traced) {
-        stat_traced_requests_.fetch_add(1, std::memory_order_relaxed);
-        if (trace_inline && response.body.size() > 2 &&
-            response.body.front() == '{' && response.body.back() == '}') {
-          response.body.insert(response.body.size() - 1,
-                               ",\"trace\":" + recorder->ToJson());
-        }
-        if (trace_header) {
-          response.headers.emplace_back("X-Simrank-Trace-Json",
-                                        recorder->ToJson());
-        }
-      }
-      CountResponse(response.status);
-      HttpResponseOptions response_options;
-      response_options.keep_alive = request.keep_alive;
-      response_options.content_type = response.content_type;
-      response_options.extra_headers = std::move(response.headers);
-      if (!SendAll(fd, BuildHttpResponse(response.status, response.body,
-                                         response_options))) {
-        break;
-      }
-      buffer.erase(0, parsed.consumed);
-      if (!request.keep_alive) break;
-      continue;
-    }
-    if (parsed.outcome == HttpParseStatus::kError) {
-      HttpResponseOptions response_options;
-      response_options.keep_alive = false;
-      SendAll(fd, BuildHttpResponse(
-                      parsed.error_status,
-                      ErrorBody("BadRequest", parsed.error_message),
-                      response_options));
-      break;
-    }
-    if (stop_.load(std::memory_order_relaxed)) break;
-    char chunk[4096];
-    const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (got > 0) {
-      buffer.append(chunk, static_cast<size_t>(got));
-      continue;
-    }
-    if (got < 0 && errno == EINTR) continue;
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;  // receive timeout: re-check the stop flag
-    }
-    break;  // peer closed or hard error
-  }
-  ::close(fd);
-}
-
-Result<SimRankRouter::ShardReply> SimRankRouter::SendToPort(
-    uint16_t port, bool post, const std::string& target,
-    std::string_view body, uint64_t trace_id) {
-  // The connection thread carries its recorder in TLS; fan-out threads
-  // have none and pass the id explicitly instead.
-  TraceRecorder* const recorder = CurrentTraceRecorder();
-  uint64_t effective_trace = trace_id;
-  if (effective_trace == 0 && recorder != nullptr) {
-    effective_trace = recorder->trace_id();
-  }
-  std::vector<std::pair<std::string, std::string>> extra_headers;
-  if (effective_trace != 0) {
-    extra_headers.emplace_back("X-Simrank-Trace",
-                               TraceIdToHex(effective_trace));
-  }
-  ClientPool* pool = nullptr;
+SimRankRouter::Exchange SimRankRouter::Send(uint16_t port, bool post,
+                                            const std::string& target,
+                                            std::string_view body) {
+  Exchange exchange;
   {
     std::lock_guard<std::mutex> lock(pools_mutex_);
     for (const auto& candidate : pools_) {
       if (candidate->port() == port) {
-        pool = candidate.get();
+        exchange.pool = candidate.get();
         break;
       }
     }
   }
-  if (pool == nullptr) {
-    return Status::InvalidArgument(
+  if (exchange.pool == nullptr) {
+    exchange.client = Status::InvalidArgument(
         StrFormat("port %u is not a configured shard endpoint", port));
+    return exchange;
   }
-  auto client = pool->Acquire();
-  if (!client.ok()) {
+  std::vector<std::pair<std::string, std::string>> headers;
+  if (const TraceRecorder* recorder = CurrentTraceRecorder()) {
+    headers.emplace_back("X-Simrank-Trace",
+                         TraceIdToHex(recorder->trace_id()));
+  }
+  exchange.client = exchange.pool->Acquire();
+  if (exchange.client.ok()) {
+    const Status sent = exchange.client->SendRaw(FormatHttpRequest(
+        post, target, body, "application/octet-stream", headers));
+    if (!sent.ok()) exchange.client = sent;
+  }
+  if (!exchange.client.ok()) {
     stat_shard_errors_.fetch_add(1, std::memory_order_relaxed);
-    return client.status();
   }
-  auto response =
-      post ? client->Post(target, body, "application/octet-stream",
-                          extra_headers)
-           : client->Get(target, extra_headers);
+  return exchange;
+}
+
+Result<SimRankRouter::ShardReply> SimRankRouter::Receive(
+    Exchange& exchange) {
+  if (!exchange.client.ok()) return exchange.client.status();
+  auto response = exchange.client->ReadResponse();
   if (!response.ok()) {
     stat_shard_errors_.fetch_add(1, std::memory_order_relaxed);
-    return response.status();  // the dead connection is dropped here
+    return response.status();  // the dead connection dies with `exchange`
   }
-  pool->Release(std::move(*client));
+  exchange.pool->Release(std::move(*exchange.client));
   ShardReply reply;
   reply.status = response->status;
   reply.body = std::move(response->body);
@@ -530,36 +395,36 @@ Result<SimRankRouter::ShardReply> SimRankRouter::SendToPort(
   const std::string* sequence = response->FindHeader("x-overlay-sequence");
   const std::string* epoch = response->FindHeader("x-plan-epoch");
   if (fingerprint != nullptr && sequence != nullptr && epoch != nullptr &&
-      ParseHexFingerprint(*fingerprint, &reply.fingerprint) &&
+      ParseFingerprint(*fingerprint, &reply.fingerprint) &&
       ParseUint64(*sequence, &reply.sequence) &&
       ParseUint64(*epoch, &reply.epoch)) {
     reply.have_versions = true;
   }
-  if (effective_trace != 0) {
+  if (TraceRecorder* recorder = CurrentTraceRecorder()) {
+    recorder->Add(TraceCounter::kShardsContacted, 1);
     if (const std::string* child =
-            response->FindHeader("x-simrank-trace-json");
-        child != nullptr) {
-      reply.trace_json = *child;
-    }
-    if (recorder != nullptr) {
-      recorder->Add(TraceCounter::kShardsContacted, 1);
-      if (!reply.trace_json.empty()) {
-        recorder->AddChildTrace(std::move(reply.trace_json));
-        reply.trace_json.clear();
-      }
+            response->FindHeader("x-simrank-trace-json")) {
+      recorder->AddChildTrace(*child);
     }
   }
   return reply;
 }
 
+Result<SimRankRouter::ShardReply> SimRankRouter::SendToPort(
+    uint16_t port, bool post, const std::string& target,
+    std::string_view body) {
+  Exchange exchange = Send(port, post, target, body);
+  return Receive(exchange);
+}
+
 Result<SimRankRouter::ShardReply> SimRankRouter::ReadFromShard(
     uint32_t shard_id, bool post, const std::string& target,
-    std::string_view body, uint64_t trace_id) {
+    std::string_view body) {
   const RouterShard& shard = options_.shards[shard_id];
-  auto reply = SendToPort(shard.primary_port, post, target, body, trace_id);
+  auto reply = SendToPort(shard.primary_port, post, target, body);
   if (reply.ok() || shard.replica_port == 0) return reply;
   stat_failovers_.fetch_add(1, std::memory_order_relaxed);
-  return SendToPort(shard.replica_port, post, target, body, trace_id);
+  return SendToPort(shard.replica_port, post, target, body);
 }
 
 Result<SimRankRouter::ShardReply> SimRankRouter::FetchRow(VertexId v) {
@@ -570,18 +435,15 @@ Result<SimRankRouter::ShardReply> SimRankRouter::FetchRow(VertexId v) {
                        std::string_view());
 }
 
-SimRankRouter::RouterResponse SimRankRouter::Unavailable(
-    const std::string& message) {
-  RouterResponse response;
-  response.status = 503;
-  response.body = ErrorBody("Unavailable", message);
+FrontendResponse SimRankRouter::Unavailable(const std::string& message) const {
+  FrontendResponse response = ErrorResponse(503, "Unavailable", message);
   response.headers.emplace_back(
       "Retry-After", StrFormat("%u", options_.retry_after_seconds));
   return response;
 }
 
 bool SimRankRouter::ScorePair(VertexId a, VertexId b, double* score,
-                              RouterResponse* error) {
+                              FrontendResponse* error) {
   const uint32_t owner_a = options_.plan.OwnerOf(a);
   const uint32_t owner_b = options_.plan.OwnerOf(b);
   if (owner_a == owner_b) {
@@ -619,9 +481,8 @@ bool SimRankRouter::ScorePair(VertexId a, VertexId b, double* score,
       return false;
     }
     if (!row->have_versions || row->epoch != options_.plan.epoch) {
-      error->status = 500;
-      error->body = ErrorBody(
-          "Internal",
+      *error = ErrorResponse(
+          500, "Internal",
           StrFormat("shard %u is serving plan epoch %llu, router has %llu",
                     owner_a, static_cast<unsigned long long>(row->epoch),
                     static_cast<unsigned long long>(options_.plan.epoch)));
@@ -653,10 +514,10 @@ bool SimRankRouter::ScorePair(VertexId a, VertexId b, double* score,
       return false;
     }
     if (reply->body.size() != sizeof(double)) {
-      error->status = 500;
-      error->body = ErrorBody(
-          "Internal", StrFormat("shard %u returned a %zu-byte pair score",
-                                owner_b, reply->body.size()));
+      *error = ErrorResponse(
+          500, "Internal",
+          StrFormat("shard %u returned a %zu-byte pair score", owner_b,
+                    reply->body.size()));
       return false;
     }
     std::memcpy(score, reply->body.data(), sizeof(double));
@@ -668,18 +529,16 @@ bool SimRankRouter::ScorePair(VertexId a, VertexId b, double* score,
   return false;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandlePair(
+FrontendResponse SimRankRouter::HandlePair(
     const HttpRequest& request) {
-  RouterResponse response;
   VertexId a = 0;
   VertexId b = 0;
   std::string error;
   if (!ParseVertexParam(request, "a", options_.plan.n, &a, &error) ||
       !ParseVertexParam(request, "b", options_.plan.n, &b, &error)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument", error);
-    return response;
+    return ErrorResponse(400, "InvalidArgument", error);
   }
+  FrontendResponse response;
   double score = 0.0;
   if (!ScorePair(a, b, &score, &response)) return response;
   JsonWriter json;
@@ -696,87 +555,66 @@ SimRankRouter::RouterResponse SimRankRouter::HandlePair(
   return response;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleSingleSource(
-    const HttpRequest& request) {
-  RouterResponse response;
-  VertexId v = 0;
-  std::string error;
-  if (!ParseVertexParam(request, "v", options_.plan.n, &v, &error)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument", error);
-    return response;
-  }
+bool SimRankRouter::FanOut(VertexId v, const std::string& target,
+                           const ReplyDecoder& decode,
+                           FrontendResponse* error) {
   const size_t num_shards = options_.shards.size();
   for (uint32_t attempt = 0; attempt <= options_.retries; ++attempt) {
     auto row = FetchRow(v);
     if (!row.ok()) {
-      return Unavailable(StrFormat("row owner unreachable: %s",
-                                   row.status().message().c_str()));
+      *error = Unavailable(StrFormat("row owner unreachable: %s",
+                                     row.status().message().c_str()));
+      return false;
     }
     if (row->status != 200) {
-      response.status = row->status;
-      response.body = std::move(row->body);
-      return response;
+      *error = FrontendResponse{row->status, std::move(row->body)};
+      return false;
     }
     if (!row->have_versions || row->epoch != options_.plan.epoch) {
-      response.status = 500;
-      response.body =
-          ErrorBody("Internal", "row owner is serving a different plan "
-                                "epoch than this router");
-      return response;
+      *error = ErrorResponse(500, "Internal",
+                             "row owner is serving a different plan epoch "
+                             "than this router");
+      return false;
     }
-    const std::string target =
-        StrFormat("/internal/partial?v=%u&seq=%llu", v,
+    const std::string pinned =
+        StrFormat("%s&seq=%llu", target.c_str(),
                   static_cast<unsigned long long>(row->sequence));
+    // Scatter, then gather: the request goes out on every shard's
+    // connection before any reply is read, so the shards compute
+    // concurrently on this one worker. Each shard_exchange span runs from
+    // that shard's send to its reply (failover included).
+    TraceRecorder* const recorder = CurrentTraceRecorder();
+    std::vector<uint64_t> sent_ns(num_shards, 0);
+    std::vector<Exchange> exchanges;
+    exchanges.reserve(num_shards);
+    for (size_t i = 0; i < num_shards; ++i) {
+      if (recorder != nullptr) sent_ns[i] = TraceNowNanos();
+      exchanges.push_back(Send(options_.shards[i].primary_port,
+                               /*post=*/true, pinned, row->body));
+    }
     std::vector<Result<ShardReply>> replies;
     replies.reserve(num_shards);
     for (size_t i = 0; i < num_shards; ++i) {
-      replies.emplace_back(Status::IoError("not attempted"));
-    }
-    TraceRecorder* const recorder = CurrentTraceRecorder();
-    const uint64_t fan_trace_id =
-        recorder != nullptr ? recorder->trace_id() : 0;
-    std::vector<uint64_t> fan_start(num_shards, 0);
-    std::vector<uint64_t> fan_duration(num_shards, 0);
-    {
-      std::vector<std::thread> fan;
-      fan.reserve(num_shards);
-      for (size_t i = 0; i < num_shards; ++i) {
-        fan.emplace_back([this, i, &target, &row, &replies, fan_trace_id,
-                          &fan_start, &fan_duration] {
-          // Fan-out threads have no thread-local recorder (recorders are
-          // single-owner); they time the exchange locally and the
-          // connection thread folds the spans in after the join.
-          const uint64_t start = fan_trace_id != 0 ? TraceNowNanos() : 0;
-          replies[i] = ReadFromShard(static_cast<uint32_t>(i), /*post=*/true,
-                                     target, row->body, fan_trace_id);
-          if (fan_trace_id != 0) {
-            fan_start[i] = start;
-            fan_duration[i] = TraceNowNanos() - start;
-          }
-        });
+      Result<ShardReply> reply = Receive(exchanges[i]);
+      if (!reply.ok() && options_.shards[i].replica_port != 0) {
+        stat_failovers_.fetch_add(1, std::memory_order_relaxed);
+        reply = SendToPort(options_.shards[i].replica_port, /*post=*/true,
+                           pinned, row->body);
       }
-      for (std::thread& thread : fan) thread.join();
-    }
-    if (recorder != nullptr) {
-      for (size_t i = 0; i < num_shards; ++i) {
-        recorder->AddCompletedSpan(TraceStage::kShardExchange, fan_start[i],
-                                   fan_duration[i],
+      if (recorder != nullptr) {
+        recorder->AddCompletedSpan(TraceStage::kShardExchange, sent_ns[i],
+                                   TraceNowNanos() - sent_ns[i],
                                    StrFormat("shard=%zu", i));
-        recorder->Add(TraceCounter::kShardsContacted, 1);
-        if (replies[i].ok() && !(*replies[i]).trace_json.empty()) {
-          recorder->AddChildTrace(std::move((*replies[i]).trace_json));
-        }
       }
+      replies.push_back(std::move(reply));
     }
     bool conflicted = false;
     uint64_t fingerprint = 0;
-    bool have_fingerprint = false;
-    std::string scores;
     for (size_t i = 0; i < num_shards; ++i) {
       if (!replies[i].ok()) {
-        return Unavailable(StrFormat("shard %zu unreachable: %s", i,
-                                     replies[i].status().message().c_str()));
+        *error = Unavailable(StrFormat("shard %zu unreachable: %s", i,
+                                       replies[i].status().message().c_str()));
+        return false;
       }
       ShardReply& reply = *replies[i];
       if (reply.status == 409) {
@@ -784,245 +622,153 @@ SimRankRouter::RouterResponse SimRankRouter::HandleSingleSource(
         break;
       }
       if (reply.status != 200) {
-        response.status = reply.status;
-        response.body = std::move(reply.body);
-        return response;
+        *error = FrontendResponse{reply.status, std::move(reply.body)};
+        return false;
       }
       if (!reply.have_versions || reply.epoch != options_.plan.epoch) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal", StrFormat("shard %zu is serving a different plan "
-                                  "epoch than this router",
-                                  i));
-        return response;
+        *error = ErrorResponse(
+            500, "Internal",
+            StrFormat("shard %zu is serving a different plan epoch than "
+                      "this router",
+                      i));
+        return false;
       }
-      if (have_fingerprint && reply.fingerprint != fingerprint) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal",
+      if (i > 0 && reply.fingerprint != fingerprint) {
+        *error = ErrorResponse(
+            500, "Internal",
             "shards report different graph fingerprints at the same "
             "overlay sequence; the cluster has diverged");
-        return response;
+        return false;
       }
       fingerprint = reply.fingerprint;
-      have_fingerprint = true;
-      const ShardRange& range = options_.plan.shards[i];
-      const size_t expected =
-          static_cast<size_t>(range.end - range.begin) * sizeof(double);
-      if (reply.body.size() != expected) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal",
-            StrFormat("shard %zu returned %zu score bytes, expected %zu", i,
-                      reply.body.size(), expected));
-        return response;
+      const std::string malformed = decode(i, reply.body);
+      if (!malformed.empty()) {
+        *error = ErrorResponse(500, "Internal", malformed);
+        return false;
       }
-      scores += reply.body;
     }
-    if (conflicted) {
-      stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
-      TraceAdd(TraceCounter::kConflictRetries, 1);
-      continue;
-    }
-    // The shard ranges partition [0, n) in order, so the concatenated
-    // slices are the full single-node score row, bit for bit.
-    TraceScope merge(TraceStage::kMerge);
-    const double* values = reinterpret_cast<const double*>(scores.data());
-    const size_t count = scores.size() / sizeof(double);
-    JsonWriter json;
-    // 32: room for the {"v":…,"scores":…} envelope around the row.
-    json.Reserve(32 + JsonDoubleArrayBound({values, count}));
-    json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
-    for (size_t i = 0; i < count; ++i) json.Double(values[i]);
-    json.EndArray().EndObject();
-    response.status = 200;
-    response.body = std::move(json).Take();
-    return response;
+    if (!conflicted) return true;
+    stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
+    TraceAdd(TraceCounter::kConflictRetries, 1);
   }
-  return Unavailable(
+  *error = Unavailable(
       "overlay sequence kept moving during the fan-out; retry after the "
       "update burst settles");
+  return false;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleTopK(
+FrontendResponse SimRankRouter::HandleSingleSource(
     const HttpRequest& request) {
-  RouterResponse response;
   VertexId v = 0;
   std::string error;
   if (!ParseVertexParam(request, "v", options_.plan.n, &v, &error)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument", error);
-    return response;
+    return ErrorResponse(400, "InvalidArgument", error);
+  }
+  // Each shard fills its own range; the ranges partition [0, n) in order,
+  // so the row is the full single-node score row, bit for bit.
+  std::vector<double> row(options_.plan.n);
+  FrontendResponse response;
+  const bool ok = FanOut(
+      v, StrFormat("/internal/partial?v=%u", v),
+      [this, &row](size_t shard, std::string& body) -> std::string {
+        const ShardRange& range = options_.plan.shards[shard];
+        const size_t expected =
+            static_cast<size_t>(range.end - range.begin) * sizeof(double);
+        if (body.size() != expected) {
+          return StrFormat("shard %zu returned %zu score bytes, expected %zu",
+                           shard, body.size(), expected);
+        }
+        std::memcpy(row.data() + range.begin, body.data(), body.size());
+        return {};
+      },
+      &response);
+  if (!ok) return response;
+  TraceScope merge(TraceStage::kMerge);
+  JsonWriter json;
+  // 32: room for the {"v":…,"scores":…} envelope around the row.
+  json.Reserve(32 + JsonDoubleArrayBound(row));
+  json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
+  for (const double score : row) json.Double(score);
+  json.EndArray().EndObject();
+  return {200, std::move(json).Take()};
+}
+
+FrontendResponse SimRankRouter::HandleTopK(const HttpRequest& request) {
+  VertexId v = 0;
+  std::string error;
+  if (!ParseVertexParam(request, "v", options_.plan.n, &v, &error)) {
+    return ErrorResponse(400, "InvalidArgument", error);
   }
   uint64_t k = 10;
   if (const std::string* value = request.FindParam("k");
       value != nullptr && (!ParseUint64(*value, &k) || k == 0)) {
-    response.status = 400;
-    response.body =
-        ErrorBody("InvalidArgument", "?k= must be a positive integer");
-    return response;
+    return ErrorResponse(400, "InvalidArgument",
+                         "?k= must be a positive integer");
   }
-  const size_t num_shards = options_.shards.size();
-  for (uint32_t attempt = 0; attempt <= options_.retries; ++attempt) {
-    auto row = FetchRow(v);
-    if (!row.ok()) {
-      return Unavailable(StrFormat("row owner unreachable: %s",
-                                   row.status().message().c_str()));
-    }
-    if (row->status != 200) {
-      response.status = row->status;
-      response.body = std::move(row->body);
-      return response;
-    }
-    if (!row->have_versions || row->epoch != options_.plan.epoch) {
-      response.status = 500;
-      response.body =
-          ErrorBody("Internal", "row owner is serving a different plan "
-                                "epoch than this router");
-      return response;
-    }
-    const std::string target = StrFormat(
-        "/internal/topk?v=%u&k=%llu&seq=%llu", v,
-        static_cast<unsigned long long>(k),
-        static_cast<unsigned long long>(row->sequence));
-    std::vector<Result<ShardReply>> replies;
-    replies.reserve(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      replies.emplace_back(Status::IoError("not attempted"));
-    }
-    TraceRecorder* const recorder = CurrentTraceRecorder();
-    const uint64_t fan_trace_id =
-        recorder != nullptr ? recorder->trace_id() : 0;
-    std::vector<uint64_t> fan_start(num_shards, 0);
-    std::vector<uint64_t> fan_duration(num_shards, 0);
-    {
-      std::vector<std::thread> fan;
-      fan.reserve(num_shards);
-      for (size_t i = 0; i < num_shards; ++i) {
-        fan.emplace_back([this, i, &target, &row, &replies, fan_trace_id,
-                          &fan_start, &fan_duration] {
-          // Fan-out threads have no thread-local recorder (recorders are
-          // single-owner); they time the exchange locally and the
-          // connection thread folds the spans in after the join.
-          const uint64_t start = fan_trace_id != 0 ? TraceNowNanos() : 0;
-          replies[i] = ReadFromShard(static_cast<uint32_t>(i), /*post=*/true,
-                                     target, row->body, fan_trace_id);
-          if (fan_trace_id != 0) {
-            fan_start[i] = start;
-            fan_duration[i] = TraceNowNanos() - start;
-          }
-        });
-      }
-      for (std::thread& thread : fan) thread.join();
-    }
-    if (recorder != nullptr) {
-      for (size_t i = 0; i < num_shards; ++i) {
-        recorder->AddCompletedSpan(TraceStage::kShardExchange, fan_start[i],
-                                   fan_duration[i],
-                                   StrFormat("shard=%zu", i));
-        recorder->Add(TraceCounter::kShardsContacted, 1);
-        if (replies[i].ok() && !(*replies[i]).trace_json.empty()) {
-          recorder->AddChildTrace(std::move((*replies[i]).trace_json));
+  // Each shard answers its slice's top-k as packed {u32 vertex, f64
+  // score} records in rank order.
+  std::vector<std::vector<ScoredVertex>> parts(options_.shards.size());
+  FrontendResponse response;
+  const bool ok = FanOut(
+      v,
+      StrFormat("/internal/topk?v=%u&k=%llu", v,
+                static_cast<unsigned long long>(k)),
+      [&parts](size_t shard, std::string& body) -> std::string {
+        if (body.size() % 12 != 0) {
+          return StrFormat("shard %zu returned a %zu-byte top-k body (not a "
+                           "multiple of 12)",
+                           shard, body.size());
         }
-      }
-    }
-    bool conflicted = false;
-    std::vector<std::vector<ScoredVertex>> parts(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      if (!replies[i].ok()) {
-        return Unavailable(StrFormat("shard %zu unreachable: %s", i,
-                                     replies[i].status().message().c_str()));
-      }
-      ShardReply& reply = *replies[i];
-      if (reply.status == 409) {
-        conflicted = true;
-        break;
-      }
-      if (reply.status != 200) {
-        response.status = reply.status;
-        response.body = std::move(reply.body);
-        return response;
-      }
-      if (!reply.have_versions || reply.epoch != options_.plan.epoch) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal", StrFormat("shard %zu is serving a different plan "
-                                  "epoch than this router",
-                                  i));
-        return response;
-      }
-      if (reply.body.size() % 12 != 0) {
-        response.status = 500;
-        response.body = ErrorBody(
-            "Internal",
-            StrFormat("shard %zu returned a %zu-byte top-k body (not a "
-                      "multiple of 12)",
-                      i, reply.body.size()));
-        return response;
-      }
-      const size_t records = reply.body.size() / 12;
-      parts[i].resize(records);
-      for (size_t r = 0; r < records; ++r) {
-        std::memcpy(&parts[i][r].vertex, reply.body.data() + r * 12,
-                    sizeof(uint32_t));
-        std::memcpy(&parts[i][r].score, reply.body.data() + r * 12 + 4,
-                    sizeof(double));
-      }
-    }
-    if (conflicted) {
-      stat_conflicts_retried_.fetch_add(1, std::memory_order_relaxed);
-      TraceAdd(TraceCounter::kConflictRetries, 1);
-      continue;
-    }
-    TraceScope merge(TraceStage::kMerge);
-    const std::vector<ScoredVertex> top =
-        MergeTopK(parts, static_cast<uint32_t>(k));
-    JsonWriter json;
+        const size_t records = body.size() / 12;
+        parts[shard].resize(records);
+        for (size_t r = 0; r < records; ++r) {
+          std::memcpy(&parts[shard][r].vertex, body.data() + r * 12,
+                      sizeof(uint32_t));
+          std::memcpy(&parts[shard][r].score, body.data() + r * 12 + 4,
+                      sizeof(double));
+        }
+        return {};
+      },
+      &response);
+  if (!ok) return response;
+  TraceScope merge(TraceStage::kMerge);
+  const std::vector<ScoredVertex> top =
+      MergeTopK(parts, static_cast<uint32_t>(k));
+  JsonWriter json;
+  json.BeginObject()
+      .Key("v")
+      .Uint(v)
+      .Key("k")
+      .Uint(k)
+      .Key("results")
+      .BeginArray();
+  for (const ScoredVertex& scored : top) {
     json.BeginObject()
-        .Key("v")
-        .Uint(v)
-        .Key("k")
-        .Uint(k)
-        .Key("results")
-        .BeginArray();
-    for (const ScoredVertex& scored : top) {
-      json.BeginObject()
-          .Key("vertex")
-          .Uint(scored.vertex)
-          .Key("score")
-          .Double(scored.score)
-          .EndObject();
-    }
-    json.EndArray().EndObject();
-    response.status = 200;
-    response.body = std::move(json).Take();
-    return response;
+        .Key("vertex")
+        .Uint(scored.vertex)
+        .Key("score")
+        .Double(scored.score)
+        .EndObject();
   }
-  return Unavailable(
-      "overlay sequence kept moving during the fan-out; retry after the "
-      "update burst settles");
+  json.EndArray().EndObject();
+  return {200, std::move(json).Take()};
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleBatchPair(
+FrontendResponse SimRankRouter::HandleBatchPair(
     const HttpRequest& request) {
-  RouterResponse response;
   auto pairs = ParsePairBatch(request.body, options_.max_batch_pairs);
   if (!pairs.ok()) {
-    response.status = 400;
-    response.body =
-        ErrorBody("InvalidArgument", pairs.status().message());
-    return response;
+    return ErrorResponse(400, "InvalidArgument", pairs.status().message());
   }
   for (const auto& [a, b] : *pairs) {
     if (a >= options_.plan.n || b >= options_.plan.n) {
-      response.status = 400;
-      response.body = ErrorBody(
-          "OutOfRange",
+      return ErrorResponse(
+          400, "OutOfRange",
           StrFormat("pair (%u, %u) exceeds the plan's %u vertices", a, b,
                     options_.plan.n));
-      return response;
     }
   }
+  FrontendResponse response;
   std::vector<double> scores;
   scores.reserve(pairs->size());
   for (const auto& [a, b] : *pairs) {
@@ -1043,9 +789,9 @@ SimRankRouter::RouterResponse SimRankRouter::HandleBatchPair(
   return response;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
+FrontendResponse SimRankRouter::HandleUpdate(
     const HttpRequest& request) {
-  RouterResponse response;
+  FrontendResponse response;
   // Broadcast in shard order. Every shard appends the batch to its own WAL
   // before answering, so a 200 here means the update is durable everywhere.
   // A shard failing *after* an earlier one applied leaves the cluster
@@ -1069,14 +815,12 @@ SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
             StrFormat("shard 0 primary unreachable, nothing applied: %s",
                       reply.status().message().c_str()));
       }
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
+      return ErrorResponse(
+          500, "Internal",
           StrFormat("shard %zu primary unreachable after %zu shard(s) "
                     "already applied the batch; the cluster needs "
                     "reconciliation before further updates",
                     i, i));
-      return response;
     }
     if (reply->status != 200) {
       if (i == 0) {
@@ -1086,14 +830,12 @@ SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
         response.body = std::move(reply->body);
         return response;
       }
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
+      return ErrorResponse(
+          500, "Internal",
           StrFormat("shard %zu rejected the batch (HTTP %d) after %zu "
                     "shard(s) already applied it; the cluster needs "
                     "reconciliation before further updates",
                     i, reply->status, i));
-      return response;
     }
     ShardResult result;
     result.applied = FindJsonNumber(reply->body, "applied");
@@ -1114,14 +856,12 @@ SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
         results[i].sequence != results[0].sequence ||
         results[i].wal_records != results[0].wal_records ||
         results[i].fingerprint != results[0].fingerprint) {
-      response.status = 500;
-      response.body = ErrorBody(
-          "Internal",
+      return ErrorResponse(
+          500, "Internal",
           StrFormat("shard %zu applied the batch but reports a different "
                     "sequence/fingerprint than shard 0; the cluster has "
                     "diverged",
                     i));
-      return response;
     }
   }
   // patched_vertices / changed_slots are per-shard work and sum across the
@@ -1152,7 +892,7 @@ SimRankRouter::RouterResponse SimRankRouter::HandleUpdate(
   return response;
 }
 
-SimRankRouter::RouterResponse SimRankRouter::BuildStats() {
+std::string SimRankRouter::BuildStats() const {
   const RouterStats stats = this->stats();
   JsonWriter json;
   json.BeginObject();
@@ -1203,13 +943,10 @@ SimRankRouter::RouterResponse SimRankRouter::BuildStats() {
   json.Key("traced_requests").Uint(stats.traced_requests);
   json.EndObject();
   json.EndObject();
-  RouterResponse response;
-  response.status = 200;
-  response.body = std::move(json).Take();
-  return response;
+  return std::move(json).Take();
 }
 
-SimRankRouter::RouterResponse SimRankRouter::BuildMetrics() {
+std::string SimRankRouter::BuildMetrics() const {
   const RouterStats stats = this->stats();
   std::string out;
   auto type = [&out](const char* name, const char* kind) {
@@ -1277,19 +1014,14 @@ SimRankRouter::RouterResponse SimRankRouter::BuildMetrics() {
   }
 
   if (options_.scrape_interval_ms > 0) {
-    const RouterStats stats_now = this->stats();
     type("simrank_fleet_scrape_rounds_total", "counter");
-    counter("simrank_fleet_scrape_rounds_total", "",
-            stats_now.scrape_rounds);
+    counter("simrank_fleet_scrape_rounds_total", "", stats.scrape_rounds);
     type("simrank_fleet_scrape_failures_total", "counter");
     counter("simrank_fleet_scrape_failures_total", "",
-            stats_now.scrape_failures);
+            stats.scrape_failures);
 
     const std::vector<TargetState> targets = SnapshotTargets();
-    const uint64_t now_s = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::seconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
+    const uint64_t now_s = UnixSeconds();
     type("simrank_fleet_target_healthy", "gauge");
     for (const TargetState& target : targets) {
       out += StrFormat(
@@ -1339,11 +1071,7 @@ SimRankRouter::RouterResponse SimRankRouter::BuildMetrics() {
     }
   }
 
-  RouterResponse response;
-  response.status = 200;
-  response.content_type = "text/plain; version=0.0.4";
-  response.body = std::move(out);
-  return response;
+  return out;
 }
 
 std::vector<SimRankRouter::TargetState> SimRankRouter::SnapshotTargets()
@@ -1353,10 +1081,7 @@ std::vector<SimRankRouter::TargetState> SimRankRouter::SnapshotTargets()
 }
 
 void SimRankRouter::ScrapeOnce() {
-  const uint64_t now_s = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  const uint64_t now_s = UnixSeconds();
   size_t count = 0;
   {
     std::lock_guard<std::mutex> lock(targets_mutex_);
@@ -1452,32 +1177,9 @@ void SimRankRouter::ScrapeLoop() {
   }
 }
 
-void SimRankRouter::StartDiagnostics() {
-  if (options_.scrape_interval_ms > 0 &&
-      scrape_stop_.load(std::memory_order_acquire)) {
-    scrape_stop_.store(false, std::memory_order_release);
-    scrape_thread_ = std::thread([this] { ScrapeLoop(); });
-  }
-  if (metrics_history_ != nullptr && metrics_sampler_ == nullptr) {
-    metrics_sampler_ = std::make_unique<MetricsSampler>(
-        metrics_history_.get(), [this] { return BuildMetrics().body; });
-  }
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Start();
-}
-
-void SimRankRouter::StopDiagnostics() {
-  scrape_stop_.store(true, std::memory_order_release);
-  if (scrape_thread_.joinable()) scrape_thread_.join();
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Stop();
-  if (profile_logger_ != nullptr) profile_logger_->Stop();
-}
-
-SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
+std::string SimRankRouter::BuildClusterHealth() const {
   const std::vector<TargetState> targets = SnapshotTargets();
-  const uint64_t now_s = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::seconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
+  const uint64_t now_s = UnixSeconds();
   JsonWriter json;
   json.BeginObject();
   json.Key("plan_epoch").Uint(options_.plan.epoch);
@@ -1544,193 +1246,7 @@ SimRankRouter::RouterResponse SimRankRouter::BuildClusterHealth() {
   json.EndArray();
   json.Key("healthy").Bool(all_healthy);
   json.EndObject();
-  RouterResponse response;
-  response.status = 200;
-  response.body = std::move(json).Take();
-  return response;
+  return std::move(json).Take();
 }
-
-SimRankRouter::RouterResponse SimRankRouter::HandleProfile(
-    const HttpRequest& request) {
-  RouterResponse response;
-  double seconds = 2.0;
-  if (const std::string* raw = request.FindParam("seconds")) {
-    if (!ParseDouble(*raw, &seconds) || !(seconds > 0.0) ||
-        seconds > CpuProfiler::kMaxSeconds) {
-      response.status = 400;
-      response.body = ErrorBody(
-          "InvalidArgument",
-          StrFormat("parameter 'seconds' must be in (0, %g]",
-                    CpuProfiler::kMaxSeconds));
-      return response;
-    }
-  }
-  uint64_t hz = CpuProfiler::kDefaultHz;
-  if (const std::string* raw = request.FindParam("hz")) {
-    if (!ParseUint64(*raw, &hz) || hz == 0 || hz > CpuProfiler::kMaxHz) {
-      response.status = 400;
-      response.body =
-          ErrorBody("InvalidArgument",
-                    StrFormat("parameter 'hz' must be in [1, %u]",
-                              CpuProfiler::kMaxHz));
-      return response;
-    }
-  }
-  bool expected = false;
-  if (!profile_busy_.compare_exchange_strong(expected, true)) {
-    response.status = 409;
-    response.body = ErrorBody(
-        "Busy", "a profiling session is already running; retry shortly");
-    return response;
-  }
-  // Blocking is fine here: each router connection has its own thread, so
-  // the sleep stalls only this client.
-  auto profiled =
-      CpuProfiler::Instance().ProfileFor(seconds, static_cast<uint32_t>(hz));
-  profile_busy_.store(false, std::memory_order_release);
-  if (!profiled.ok()) {
-    response.status = 409;
-    response.body = ErrorBody("Busy", profiled.status().message());
-    return response;
-  }
-  const ProfileReport& report = *profiled;
-  response.status = 200;
-  response.content_type = "text/plain";
-  response.body = StrFormat(
-      "# profile duration_seconds=%.3f frequency_hz=%u samples=%llu "
-      "dropped=%llu threads=%u\n",
-      report.duration_seconds, report.frequency_hz,
-      static_cast<unsigned long long>(report.total_samples),
-      static_cast<unsigned long long>(report.dropped_samples),
-      report.armed_threads);
-  response.body += report.collapsed;
-  return response;
-}
-
-SimRankRouter::RouterResponse SimRankRouter::HandleTimeseries(
-    const HttpRequest& request) {
-  RouterResponse response;
-  if (metrics_history_ == nullptr) {
-    response.status = 503;
-    response.body = ErrorBody(
-        "Unavailable", "metrics history is disabled (--metrics-history=0)");
-    return response;
-  }
-  const std::string* metric = request.FindParam("metric");
-  if (metric == nullptr) {
-    response.status = 200;
-    response.body = metrics_history_->ListJson();
-    return response;
-  }
-  uint64_t window = 0;  // 0 = the full configured window
-  const std::string* raw_window = request.FindParam("window");
-  if (raw_window != nullptr && !ParseUint64(*raw_window, &window)) {
-    response.status = 400;
-    response.body = ErrorBody("InvalidArgument",
-                              "parameter 'window' must be a span in seconds");
-    return response;
-  }
-  response.status = 200;
-  response.body = metrics_history_->QueryJson(*metric, window);
-  return response;
-}
-
-SimRankRouter::RouterResponse SimRankRouter::Route(
-    const HttpRequest& request) {
-  RouterResponse response;
-  const bool is_get = request.method == "GET";
-  const bool is_post = request.method == "POST";
-  if (request.path == "/healthz") {
-    stat_requests_healthz_.fetch_add(1, std::memory_order_relaxed);
-    response.status = 200;
-    response.body = "{\"status\":\"ok\"}";
-    return response;
-  }
-  if (request.path == "/v1/stats") {
-    stat_requests_stats_.fetch_add(1, std::memory_order_relaxed);
-    return BuildStats();
-  }
-  if (request.path == "/metrics") {
-    stat_requests_metrics_.fetch_add(1, std::memory_order_relaxed);
-    return BuildMetrics();
-  }
-  if (request.path == "/v1/cluster/health") {
-    stat_requests_cluster_health_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
-      return response;
-    }
-    return BuildClusterHealth();
-  }
-  if (request.path == "/v1/debug/profile") {
-    stat_requests_debug_profile_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
-      return response;
-    }
-    return HandleProfile(request);
-  }
-  if (request.path == "/v1/debug/timeseries") {
-    stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
-      return response;
-    }
-    return HandleTimeseries(request);
-  }
-  if (request.path == "/v1/pair" || request.path == "/v1/single_source" ||
-      request.path == "/v1/topk") {
-    if (!is_get) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use GET");
-      return response;
-    }
-    if (request.path == "/v1/pair") {
-      stat_requests_pair_.fetch_add(1, std::memory_order_relaxed);
-      return HandlePair(request);
-    }
-    if (request.path == "/v1/single_source") {
-      stat_requests_single_source_.fetch_add(1, std::memory_order_relaxed);
-      return HandleSingleSource(request);
-    }
-    stat_requests_topk_.fetch_add(1, std::memory_order_relaxed);
-    return HandleTopK(request);
-  }
-  if (request.path == "/v1/batch_pair" || request.path == "/v1/update") {
-    if (!is_post) {
-      response.status = 405;
-      response.body = ErrorBody("MethodNotAllowed", "use POST");
-      return response;
-    }
-    if (request.path == "/v1/batch_pair") {
-      stat_requests_batch_pair_.fetch_add(1, std::memory_order_relaxed);
-      return HandleBatchPair(request);
-    }
-    stat_requests_update_.fetch_add(1, std::memory_order_relaxed);
-    return HandleUpdate(request);
-  }
-  response.status = 404;
-  response.body = ErrorBody(
-      "NotFound", StrFormat("no route for %s", request.path.c_str()));
-  return response;
-}
-
-#else  // !OIPSIM_ROUTER_HAVE_SOCKETS
-
-Status SimRankRouter::Bind() {
-  return Status::Unimplemented("SimRankRouter requires POSIX sockets");
-}
-Status SimRankRouter::Start() {
-  return Status::Unimplemented("SimRankRouter requires POSIX sockets");
-}
-void SimRankRouter::RequestStop() {}
-void SimRankRouter::Shutdown() {}
-void SimRankRouter::AcceptLoop() {}
-void SimRankRouter::HandleConnection(int) {}
-
-#endif  // OIPSIM_ROUTER_HAVE_SOCKETS
 
 }  // namespace simrank

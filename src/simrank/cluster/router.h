@@ -36,11 +36,20 @@
 // counting the failover in /v1/stats and /metrics. Writes never fail over
 // (replicas reject them with 403; they catch up by tailing the primary's
 // WAL stream).
+//
+// The router is a route table on the same epoll HttpFrontend as the
+// server (server/frontend.h): one loop thread owns every client socket,
+// and the query routes run on a fixed worker pool under admission
+// control, so no client connection or request costs a thread. A fan-out
+// writes its request on every shard's pooled keep-alive connection before
+// reading any reply, so the shards compute concurrently. Linux-only, like
+// the frontend.
 #ifndef OIPSIM_SIMRANK_CLUSTER_ROUTER_H_
 #define OIPSIM_SIMRANK_CLUSTER_ROUTER_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,9 +60,7 @@
 #include "simrank/common/macros.h"
 #include "simrank/common/status.h"
 #include "simrank/extra/topk.h"
-#include "simrank/obs/metrics_history.h"
-#include "simrank/obs/profiler.h"
-#include "simrank/obs/trace.h"
+#include "simrank/server/frontend.h"
 #include "simrank/server/http.h"
 #include "simrank/server/http_client.h"
 
@@ -148,9 +155,10 @@ struct RouterStats {
 std::vector<ScoredVertex> MergeTopK(
     const std::vector<std::vector<ScoredVertex>>& parts, uint32_t k);
 
-/// The router process: a blocking thread-per-connection HTTP frontend over
-/// a keep-alive client pool to the shards. Bind() then Start(); Shutdown()
-/// stops accepting, joins every connection thread and closes the pools.
+/// The router process: a route table on the epoll HttpFrontend over a
+/// keep-alive client pool to the shards. Bind() then Start(); Shutdown()
+/// stops accepting, drains in-flight requests, joins the loop and the
+/// fleet scraper.
 class SimRankRouter {
  public:
   explicit SimRankRouter(RouterOptions options);
@@ -161,35 +169,25 @@ class SimRankRouter {
   /// Validates options and binds + listens on bind_address:port.
   Status Bind();
 
-  /// Spawns the accept loop. Requires a successful Bind().
+  /// Runs the event loop on its own thread and starts the fleet scraper.
+  /// Requires a successful Bind().
   Status Start();
 
-  /// Async-signal-safe stop request: sets the stop flag and shuts the
-  /// listener down so the accept loop wakes. Follow with Shutdown() from
-  /// ordinary thread context to join.
+  /// Async-signal-safe stop request (an atomic store and an eventfd
+  /// write). Follow with Shutdown() from ordinary thread context to join.
   void RequestStop();
 
-  /// Stops accepting, wakes and joins all threads. Idempotent.
+  /// Stops accepting, drains, joins all threads. Idempotent.
   void Shutdown();
 
   /// The bound port (resolves port 0 after Bind()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return frontend_.port(); }
 
   const RouterOptions& options() const { return options_; }
 
   RouterStats stats() const;
 
  private:
-  /// One routed response: status, body, plus any extra headers
-  /// (Retry-After on 503). Bodies are JSON unless content_type says
-  /// otherwise (/metrics, /v1/debug/profile).
-  struct RouterResponse {
-    int status = 500;
-    std::string body;
-    std::vector<std::pair<std::string, std::string>> headers;
-    std::string content_type = "application/json";
-  };
-
   /// One shard reply with its parsed version headers.
   struct ShardReply {
     int status = 0;
@@ -198,49 +196,69 @@ class SimRankRouter {
     uint64_t fingerprint = 0;
     uint64_t epoch = 0;
     bool have_versions = false;
-    /// The shard's X-Simrank-Trace-Json sub-trace, when the exchange was
-    /// issued with a trace id from a fan-out thread (the connection
-    /// thread's own exchanges attach it to the recorder directly).
-    std::string trace_json;
   };
 
   /// A keep-alive connection pool per target port.
   class ClientPool;
+  /// One request written to a shard whose reply is not read yet.
+  struct Exchange;
 
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  RouterResponse Route(const HttpRequest& request);
-  void CountResponse(int status);
+  /// Writes one request to `port` on a pooled keep-alive connection
+  /// without waiting for the reply. When a trace recorder is bound to the
+  /// calling thread the request carries X-Simrank-Trace.
+  Exchange Send(uint16_t port, bool post, const std::string& target,
+                std::string_view body);
 
-  /// One request against a fixed port through the pool. Transport errors
-  /// return a non-ok status (the connection is dropped, not pooled).
-  /// When a trace is active — `trace_id` non-zero (fan-out threads, which
-  /// have no thread-local recorder) or a recorder bound to the calling
-  /// thread — the request carries X-Simrank-Trace and the shard's
-  /// X-Simrank-Trace-Json reply is attached to the recorder (connection
-  /// thread) or returned in ShardReply::trace_json (fan-out thread).
+  /// Reads the reply of `exchange` and returns its connection to the pool
+  /// (a connection that saw a transport error is dropped instead). The
+  /// shard's X-Simrank-Trace-Json comes back as a child of the bound
+  /// recorder.
+  Result<ShardReply> Receive(Exchange& exchange);
+
+  /// One request against a fixed port through the pool: Send, then
+  /// Receive.
   Result<ShardReply> SendToPort(uint16_t port, bool post,
                                 const std::string& target,
-                                std::string_view body,
-                                uint64_t trace_id = 0);
+                                std::string_view body);
 
   /// A read against shard `shard_id`: primary first, replica on transport
   /// failure (counted as a failover).
   Result<ShardReply> ReadFromShard(uint32_t shard_id, bool post,
                                    const std::string& target,
-                                   std::string_view body,
-                                   uint64_t trace_id = 0);
+                                   std::string_view body);
 
-  RouterResponse HandlePair(const HttpRequest& request);
-  RouterResponse HandleSingleSource(const HttpRequest& request);
-  RouterResponse HandleTopK(const HttpRequest& request);
-  RouterResponse HandleBatchPair(const HttpRequest& request);
-  RouterResponse HandleUpdate(const HttpRequest& request);
-  RouterResponse BuildStats();
-  RouterResponse BuildMetrics();
-  RouterResponse BuildClusterHealth();
-  RouterResponse HandleProfile(const HttpRequest& request);
-  RouterResponse HandleTimeseries(const HttpRequest& request);
+  /// Fetches v's walk row from its owner (with failover): 200 body is the
+  /// binary row, and the reply's sequence pins the fan-out.
+  Result<ShardReply> FetchRow(VertexId v);
+
+  /// Scores one pair, cross-shard if needed. Returns the score through
+  /// `*score`; fills `*error` otherwise.
+  bool ScorePair(VertexId a, VertexId b, double* score,
+                 FrontendResponse* error);
+
+  /// Decodes shard `shard`'s 200 body into the caller's per-shard slot;
+  /// returns an error message for a malformed body, "" when it decoded.
+  using ReplyDecoder =
+      std::function<std::string(size_t shard, std::string& body)>;
+
+  /// The scatter-gather of single_source and top-k: fetches v's row, sends
+  /// it to every shard at `target` + "&seq=<row sequence>", validates each
+  /// reply (status, plan epoch, agreeing fingerprints) and decodes it.
+  /// Re-runs from the row fetch on a 409 sequence conflict, up to
+  /// options.retries times. Fills `*error` and returns false on failure.
+  bool FanOut(VertexId v, const std::string& target,
+              const ReplyDecoder& decode, FrontendResponse* error);
+
+  FrontendResponse Unavailable(const std::string& message) const;
+
+  FrontendResponse HandlePair(const HttpRequest& request);
+  FrontendResponse HandleSingleSource(const HttpRequest& request);
+  FrontendResponse HandleTopK(const HttpRequest& request);
+  FrontendResponse HandleBatchPair(const HttpRequest& request);
+  FrontendResponse HandleUpdate(const HttpRequest& request);
+  std::string BuildStats() const;
+  std::string BuildMetrics() const;
+  std::string BuildClusterHealth() const;
 
   /// The latest scrape of one fleet target (a shard primary or replica).
   struct TargetState {
@@ -270,49 +288,22 @@ class SimRankRouter {
   /// Copies the current per-target states (scrape-thread writes them
   /// under targets_mutex_).
   std::vector<TargetState> SnapshotTargets() const;
-  void StartDiagnostics();
-  void StopDiagnostics();
-
-  /// Fetches v's walk row from its owner (with failover): 200 body is the
-  /// binary row, and the reply's sequence pins the fan-out.
-  Result<ShardReply> FetchRow(VertexId v);
-
-  /// Scores one pair, cross-shard if needed. Returns the score through
-  /// `*score`; a non-200 RouterResponse otherwise.
-  bool ScorePair(VertexId a, VertexId b, double* score,
-                 RouterResponse* error);
-
-  RouterResponse Unavailable(const std::string& message);
 
   RouterOptions options_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-  std::mutex threads_mutex_;
-  std::vector<std::thread> connection_threads_;
   std::vector<std::unique_ptr<ClientPool>> pools_;  // indexed by port lookup
   std::mutex pools_mutex_;
 
-  std::atomic<uint64_t> stat_requests_total_{0};
   std::atomic<uint64_t> stat_requests_pair_{0};
   std::atomic<uint64_t> stat_requests_single_source_{0};
   std::atomic<uint64_t> stat_requests_topk_{0};
   std::atomic<uint64_t> stat_requests_batch_pair_{0};
   std::atomic<uint64_t> stat_requests_update_{0};
   std::atomic<uint64_t> stat_requests_stats_{0};
-  std::atomic<uint64_t> stat_requests_healthz_{0};
   std::atomic<uint64_t> stat_requests_metrics_{0};
-  std::atomic<uint64_t> stat_responses_2xx_{0};
-  std::atomic<uint64_t> stat_responses_4xx_{0};
-  std::atomic<uint64_t> stat_responses_5xx_{0};
+  std::atomic<uint64_t> stat_requests_cluster_health_{0};
   std::atomic<uint64_t> stat_failovers_{0};
   std::atomic<uint64_t> stat_conflicts_retried_{0};
   std::atomic<uint64_t> stat_shard_errors_{0};
-  std::atomic<uint64_t> stat_traced_requests_{0};
-  std::atomic<uint64_t> stat_requests_cluster_health_{0};
-  std::atomic<uint64_t> stat_requests_debug_profile_{0};
-  std::atomic<uint64_t> stat_requests_debug_timeseries_{0};
   std::atomic<uint64_t> stat_scrape_rounds_{0};
   std::atomic<uint64_t> stat_scrape_failures_{0};
 
@@ -320,10 +311,12 @@ class SimRankRouter {
   std::vector<TargetState> targets_;
   std::atomic<bool> scrape_stop_{true};
   std::thread scrape_thread_;
-  std::unique_ptr<MetricsHistory> metrics_history_;
-  std::unique_ptr<MetricsSampler> metrics_sampler_;
-  std::unique_ptr<ProfileLogger> profile_logger_;
-  std::atomic<bool> profile_busy_{false};
+
+  /// Declared after everything its handlers and metrics sampler touch:
+  /// its destructor joins the workers and diagnostics threads.
+  HttpFrontend frontend_;
+  /// Runs frontend_.Serve(); joined by Shutdown().
+  std::thread serve_thread_;
 };
 
 }  // namespace simrank

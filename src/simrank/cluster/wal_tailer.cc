@@ -1,29 +1,14 @@
 #include "simrank/cluster/wal_tailer.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
 #include "simrank/common/string_util.h"
+#include "simrank/graph/graph_io.h"
 #include "simrank/index/edge_update.h"
 #include "simrank/server/http_client.h"
 
 namespace simrank {
-namespace {
-
-bool ParseHexFingerprint(std::string_view text, uint64_t* out) {
-  if (text.empty() || text.size() > 16) return false;
-  const std::string copy(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(copy.c_str(), &end, 16);
-  if (errno != 0 || end != copy.c_str() + copy.size()) return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
-}  // namespace
 
 Status WalTailer::Start() {
   if (options_.source_port == 0) {
@@ -84,7 +69,7 @@ Result<uint64_t> WalTailer::ApplyStream(std::string_view body) {
     uint64_t post_fingerprint = 0;
     uint64_t num_updates = 0;
     if (fields.size() != 3 || !ParseUint64(fields[0], &index) ||
-        !ParseHexFingerprint(fields[1], &post_fingerprint) ||
+        !ParseFingerprint(fields[1], &post_fingerprint) ||
         !ParseUint64(fields[2], &num_updates) || num_updates == 0) {
       return Status::ParseError("malformed 'record' line in WAL stream");
     }

@@ -10,9 +10,9 @@
 // per-byte accounting inside the probe loops.
 //
 // The recorder is deliberately not propagated into ThreadPool workers:
-// fan-out code (batch queries, router scatter threads) measures child
-// durations locally and records them after the join via
-// AddCompletedSpan, keeping every recorder single-threaded.
+// fan-out code (batch queries, the router's scatter-gather) measures child
+// durations locally and records them afterwards via AddCompletedSpan,
+// keeping every recorder single-threaded.
 //
 // Serialization is one compact JSON document (spans as a parent-indexed
 // tree, counters, raw child traces from downstream shards) with no

@@ -62,6 +62,29 @@ std::vector<double> FindJsonNumberArray(const std::string& body,
   return values;
 }
 
+std::string FormatHttpRequest(
+    bool post, const std::string& target, std::string_view body,
+    std::string_view content_type,
+    const std::vector<std::pair<std::string, std::string>>& extra_headers) {
+  std::string request = post ? "POST " : "GET ";
+  request += target;
+  request += " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
+  if (post) {
+    request += "Content-Type: ";
+    request += content_type;
+    request += StrFormat("\r\nContent-Length: %zu\r\n", body.size());
+  }
+  for (const auto& [name, value] : extra_headers) {
+    request += name;
+    request += ": ";
+    request += value;
+    request += "\r\n";
+  }
+  request += "\r\n";
+  if (post) request += body;
+  return request;
+}
+
 #if OIPSIM_HAVE_SOCKETS
 
 Result<LoopbackHttpClient> LoopbackHttpClient::Connect(uint16_t port) {
@@ -203,15 +226,8 @@ Result<HttpClientResponse> LoopbackHttpClient::ReadResponse() {
 Result<HttpClientResponse> LoopbackHttpClient::Get(
     const std::string& target,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
-  std::string request = "GET " + target + " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
-  for (const auto& [name, value] : extra_headers) {
-    request += name;
-    request += ": ";
-    request += value;
-    request += "\r\n";
-  }
-  request += "\r\n";
-  OIPSIM_RETURN_IF_ERROR(SendRaw(request));
+  OIPSIM_RETURN_IF_ERROR(SendRaw(FormatHttpRequest(
+      /*post=*/false, target, std::string_view(), "", extra_headers)));
   return ReadResponse();
 }
 
@@ -219,19 +235,8 @@ Result<HttpClientResponse> LoopbackHttpClient::Post(
     const std::string& target, std::string_view body,
     std::string_view content_type,
     const std::vector<std::pair<std::string, std::string>>& extra_headers) {
-  std::string request = "POST " + target + " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
-  request += "Content-Type: ";
-  request += content_type;
-  request += StrFormat("\r\nContent-Length: %zu\r\n", body.size());
-  for (const auto& [name, value] : extra_headers) {
-    request += name;
-    request += ": ";
-    request += value;
-    request += "\r\n";
-  }
-  request += "\r\n";
-  request += body;
-  OIPSIM_RETURN_IF_ERROR(SendRaw(request));
+  OIPSIM_RETURN_IF_ERROR(SendRaw(FormatHttpRequest(
+      /*post=*/true, target, body, content_type, extra_headers)));
   return ReadResponse();
 }
 

@@ -87,6 +87,14 @@ class LoopbackHttpClient {
   std::string buffer_;
 };
 
+/// The bytes Get (no body, no content headers) or Post sends for one
+/// request. SendRaw them and pair each with ReadResponse to have requests
+/// in flight on several connections before reading any reply.
+std::string FormatHttpRequest(
+    bool post, const std::string& target, std::string_view body,
+    std::string_view content_type,
+    const std::vector<std::pair<std::string, std::string>>& extra_headers);
+
 /// One-shot convenience: connect, GET, close.
 Result<HttpClientResponse> HttpGet(uint16_t port, const std::string& target);
 

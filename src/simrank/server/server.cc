@@ -1,9 +1,7 @@
 #include "simrank/server/server.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -15,27 +13,8 @@
 #include "simrank/graph/graph_io.h"
 #include "simrank/index/segment_reader.h"
 
-#if defined(__linux__)
-#define OIPSIM_HAVE_EPOLL 1
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 namespace simrank {
 namespace {
-
-/// Backpressure bounds: when a connection's unsent responses or unparsed
-/// input exceed these, the loop stops *reading* it (TCP pushes back on the
-/// peer) until the backlog drains — no connection can buffer the server
-/// into the ground, which is what lets server.h promise bounded queues.
-constexpr size_t kMaxPendingOutputBytes = 4u << 20;
-constexpr size_t kInputBufferSlackBytes = 64u << 10;
 
 /// Parsed arguments of one dispatchable query; only the fields of the
 /// request's endpoint are meaningful. POST bodies travel raw and are
@@ -56,35 +35,12 @@ struct QueryArgs {
   /// differs, so a scatter-gather never merges mixed-version slices.
   uint64_t seq = 0;
   std::string body;
-  /// Tracing decisions, made on the loop thread so the worker needs no
-  /// access to the request. `trace_inline` is the only one allowed to
-  /// change a response body.
-  bool trace_inline = false;   // ?trace=1: trace JSON into the envelope
-  bool trace_header = false;   // X-Simrank-Trace: trace in response header
-  bool trace_sampled = false;  // coin flip / slow-query threshold
-  uint64_t trace_id = 0;
-  /// Request path, kept only for traced requests (slow-ring target).
-  std::string target;
 };
-
-std::string ErrorBody(std::string_view code, std::string_view message) {
-  JsonWriter json;
-  json.BeginObject()
-      .Key("error")
-      .BeginObject()
-      .Key("code")
-      .String(code)
-      .Key("message")
-      .String(message)
-      .EndObject()
-      .EndObject();
-  return std::move(json).Take();
-}
 
 /// HTTP status + body for a query or update that failed inside the engine
 /// or updater. Parse errors are client errors here: the only parsed input
 /// is the request body.
-std::pair<int, std::string> EngineErrorResponse(const Status& status) {
+FrontendResponse EngineErrorResponse(const Status& status) {
   const int http_status =
       (status.code() == StatusCode::kOutOfRange ||
        status.code() == StatusCode::kInvalidArgument ||
@@ -95,7 +51,7 @@ std::pair<int, std::string> EngineErrorResponse(const Status& status) {
           ErrorBody(StatusCodeToString(status.code()), status.message())};
 }
 
-std::pair<int, std::string> ExecutePair(QueryEngine& engine,
+FrontendResponse ExecutePair(QueryEngine& engine,
                                         const QueryArgs& args) {
   auto score = engine.Pair(args.a, args.b);
   if (!score.ok()) return EngineErrorResponse(score.status());
@@ -112,7 +68,7 @@ std::pair<int, std::string> ExecutePair(QueryEngine& engine,
   return {200, std::move(json).Take()};
 }
 
-std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
+FrontendResponse ExecuteSingleSource(QueryEngine& engine,
                                                 const QueryArgs& args) {
   auto row = engine.SingleSource(args.v);
   if (!row.ok()) return EngineErrorResponse(row.status());
@@ -126,7 +82,7 @@ std::pair<int, std::string> ExecuteSingleSource(QueryEngine& engine,
   return {200, std::move(json).Take()};
 }
 
-std::pair<int, std::string> ExecuteTopK(QueryEngine& engine,
+FrontendResponse ExecuteTopK(QueryEngine& engine,
                                         const QueryArgs& args) {
   auto top = engine.TopK(args.v, args.k);
   if (!top.ok()) return EngineErrorResponse(top.status());
@@ -187,7 +143,7 @@ Result<std::vector<std::pair<VertexId, VertexId>>> ParsePairBatch(
 
 namespace {
 
-std::pair<int, std::string> ExecuteBatchPair(QueryEngine& engine,
+FrontendResponse ExecuteBatchPair(QueryEngine& engine,
                                              const QueryArgs& args,
                                              const ServerOptions& options) {
   auto pairs = ParsePairBatch(args.body, options.max_batch_pairs);
@@ -224,7 +180,7 @@ std::pair<int, std::string> ExecuteBatchPair(QueryEngine& engine,
   return {200, std::move(json).Take()};
 }
 
-std::pair<int, std::string> ExecuteUpdate(QueryEngine& engine,
+FrontendResponse ExecuteUpdate(QueryEngine& engine,
                                           IndexUpdater& updater,
                                           const QueryArgs& args) {
   auto updates = ParseEdgeUpdates(args.body);
@@ -253,7 +209,7 @@ std::pair<int, std::string> ExecuteUpdate(QueryEngine& engine,
   return {200, std::move(json).Take()};
 }
 
-std::pair<int, std::string> ExecuteCompact(IndexUpdater& updater,
+FrontendResponse ExecuteCompact(IndexUpdater& updater,
                                            const ServerOptions& options) {
   if (options.compact_path.empty() || options.compact_graph_path.empty()) {
     return {503, ErrorBody("Unavailable",
@@ -319,16 +275,6 @@ OverlayView SnapshotOverlay(const WalkIndex& index,
   return view;
 }
 
-/// What a worker hands back for an /internal/* exchange: status and body
-/// like the public executors, plus a content type and the version headers
-/// the router cross-checks.
-struct ExchangeResponse {
-  int status = 500;
-  std::string body;
-  std::string content_type = "application/json";
-  std::vector<std::pair<std::string, std::string>> headers;
-};
-
 std::vector<std::pair<std::string, std::string>> ExchangeHeaders(
     const OverlayView& view, const ServerOptions& options) {
   return {{"X-Graph-Fingerprint", FormatFingerprint(view.fingerprint)},
@@ -343,14 +289,14 @@ std::vector<std::pair<std::string, std::string>> ExchangeHeaders(
 /// native-endian walk rows in, native-endian score slices out — so the
 /// doubles that cross the wire are the exact bits the estimators
 /// produced; the router's merge is then bitwise by construction.
-ExchangeResponse ExecuteInternal(QueryEngine& engine,
+FrontendResponse ExecuteInternal(QueryEngine& engine,
                                  const IndexUpdater* updater,
                                  const ServerOptions& options,
                                  const QueryArgs& args) {
   const WalkIndex& index = engine.index();
   const ShardRange& range = options.shard_plan.shards[options.shard_id];
   const OverlayView view = SnapshotOverlay(index, updater);
-  ExchangeResponse out;
+  FrontendResponse out;
   out.headers = ExchangeHeaders(view, options);
   const uint32_t n = index.n();
   const size_t words =
@@ -529,6 +475,24 @@ const char* ServerEndpointName(ServerEndpoint endpoint) {
   return "?";
 }
 
+const char* ServerEndpointMethod(ServerEndpoint endpoint) {
+  return endpoint == ServerEndpoint::kBatchPair ||
+                 endpoint == ServerEndpoint::kUpdate ||
+                 endpoint == ServerEndpoint::kCompact
+             ? "POST"
+             : "GET";
+}
+
+std::vector<AdmissionClass> ServerEndpointClasses() {
+  std::vector<AdmissionClass> classes;
+  for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
+    const auto endpoint = static_cast<ServerEndpoint>(i);
+    classes.push_back(
+        {ServerEndpointName(endpoint), ServerEndpointPath(endpoint)});
+  }
+  return classes;
+}
+
 Status ServerOptions::Validate() const {
   if (bind_address.empty()) {
     return Status::InvalidArgument("server bind address must not be empty");
@@ -616,583 +580,6 @@ Status ServerOptions::Validate() const {
   return Status::OK();
 }
 
-/// Per-connection state owned by the event loop. A connection handles one
-/// dispatched query at a time (`awaiting`); pipelined requests stay
-/// buffered in `in` until the response of the previous one is queued, so
-/// responses always leave in request order.
-struct SimRankServer::Connection {
-  int fd = -1;
-  uint64_t id = 0;
-  std::string in;
-  std::string out;
-  size_t out_sent = 0;
-  /// A query is dispatched and its completion not yet queued.
-  bool awaiting = false;
-  /// Flush `out`, then close (error, Connection: close, drain).
-  bool close_after_flush = false;
-  /// The peer half-closed: no further reads, but every request already
-  /// buffered still gets its answer before the connection closes.
-  bool peer_eof = false;
-  /// Keep-alive decision of the request currently being answered.
-  bool request_keep_alive = true;
-  /// Events currently registered with epoll.
-  uint32_t epoll_events = 0;
-  /// Access-log capture of the request currently being answered: set by
-  /// RouteRequest (only when --access-log is active), consumed and
-  /// cleared by QueueResponse. One dispatched query at a time per
-  /// connection keeps this a single slot.
-  uint64_t access_start_ns = 0;
-  uint64_t access_trace_id = 0;
-  std::string access_method;
-  std::string access_path;
-};
-
-/// A worker's finished query, handed back to the loop thread.
-struct SimRankServer::Completion {
-  int fd = -1;
-  uint64_t connection_id = 0;
-  ServerEndpoint endpoint = ServerEndpoint::kPair;
-  int status = 500;
-  std::string body;
-  /// Internal exchange responses are binary and carry version headers;
-  /// public responses keep the JSON defaults.
-  std::string content_type = "application/json";
-  std::vector<std::pair<std::string, std::string>> headers;
-  /// True for worker-pool completions that passed admission control and
-  /// hold an inflight slot; false for out-of-band completions (the
-  /// deferred /v1/debug/profile capture), which must not decrement
-  /// counters they never incremented.
-  bool admission = true;
-};
-
-SimRankServer::SimRankServer(QueryEngine& engine,
-                             const ServerOptions& options,
-                             IndexUpdater* updater)
-    : engine_(engine),
-      options_(options),
-      updater_(updater),
-      slow_log_(options.slow_ring_capacity),
-      pool_(options.threads) {}
-
-SimRankServer::~SimRankServer() {
-  // Diagnostics threads poll pool_ and call BuildMetricsBody; stop them
-  // here, before member destructors run (pool_ is declared after them and
-  // would be destroyed first).
-  StopDiagnostics();
-  // Workers may still be executing queries if Serve was never run to
-  // completion; let them finish (they only touch the engine, the
-  // completion queue and wake_fd_) before the fds go away.
-  pool_.Wait();
-#if OIPSIM_HAVE_EPOLL
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (reserve_fd_ >= 0) ::close(reserve_fd_);
-#endif
-}
-
-#if OIPSIM_HAVE_EPOLL
-
-Status SimRankServer::Bind() {
-  OIPSIM_RETURN_IF_ERROR(options_.Validate());
-  if (options_.sharded) {
-    // The plan must be the one the served shard file was split under: same
-    // vertex universe, same base graph. Serving a shard against the wrong
-    // plan would silently cross-wire the cluster's answers.
-    const WalkIndex& index = engine_.index();
-    if (options_.shard_plan.n != index.n()) {
-      return Status::InvalidArgument(
-          StrFormat("shard plan partitions n=%u but the served index has "
-                    "n=%u vertices",
-                    options_.shard_plan.n, index.n()));
-    }
-    if (options_.shard_plan.graph_fingerprint !=
-        index.graph_fingerprint()) {
-      return Status::InvalidArgument(StrFormat(
-          "shard plan is bound to graph %s but the served index was built "
-          "from %s",
-          FormatFingerprint(options_.shard_plan.graph_fingerprint).c_str(),
-          FormatFingerprint(index.graph_fingerprint()).c_str()));
-    }
-  }
-  if (listen_fd_ >= 0) {
-    return Status::InvalidArgument("Bind() called twice");
-  }
-  if (!options_.trace_log_path.empty() && trace_sink_ == nullptr) {
-    auto sink = JsonlLogSink::Open(options_.trace_log_path);
-    if (!sink.ok()) return sink.status();
-    trace_sink_ = std::move(*sink);
-  }
-  if (!options_.access_log_path.empty() && access_sink_ == nullptr) {
-    auto sink = JsonlLogSink::Open(options_.access_log_path);
-    if (!sink.ok()) return sink.status();
-    access_sink_ = std::move(*sink);
-  }
-  if (options_.metrics_history_window_s > 0 && metrics_history_ == nullptr) {
-    MetricsHistory::Options history_options;
-    history_options.window_seconds = options_.metrics_history_window_s;
-    history_options.interval_ms = options_.metrics_history_interval_ms;
-    metrics_history_ = std::make_unique<MetricsHistory>(history_options);
-  }
-  if (!options_.profile_log_path.empty() && profile_logger_ == nullptr) {
-    ProfileLogger::Options logger_options;
-    logger_options.path = options_.profile_log_path;
-    logger_options.frequency_hz = options_.profile_log_hz;
-    logger_options.period_seconds = options_.profile_log_period_s;
-    // Sample a slice of each period, not all of it: the profiler is a
-    // singleton, and a full-duty logger would starve every on-demand
-    // /v1/debug/profile session with 409s.
-    logger_options.duty_cycle = 0.1;
-    auto logger = ProfileLogger::Start(logger_options);
-    if (!logger.ok()) return logger.status();
-    profile_logger_ = std::move(*logger);
-  }
-  sample_state_ = GenerateTraceId();
-
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("not an IPv4 bind address: " +
-                                   options_.bind_address);
-  }
-
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return Status::IoError("socket() failed");
-  const int enable = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("cannot bind %s:%u: %s",
-                                     options_.bind_address.c_str(),
-                                     options_.port, std::strerror(errno)));
-  }
-  if (::listen(fd, 128) != 0) {
-    ::close(fd);
-    return Status::IoError(StrFormat("listen() failed: %s",
-                                     std::strerror(errno)));
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
-      0) {
-    ::close(fd);
-    return Status::IoError("getsockname() failed");
-  }
-  bound_port_ = ntohs(addr.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    ::close(fd);
-    return Status::IoError("epoll_create1/eventfd failed");
-  }
-  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  listen_fd_ = fd;
-
-  epoll_event event = {};
-  event.events = EPOLLIN;
-  event.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &event);
-  event.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &event);
-  return Status::OK();
-}
-
-void SimRankServer::Shutdown() {
-  stop_.store(true, std::memory_order_release);
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    // Async-signal-safe: a plain write on an eventfd. The return value is
-    // irrelevant — a full counter already wakes the loop.
-    [[maybe_unused]] const auto ignored =
-        ::write(wake_fd_, &one, sizeof(one));
-  }
-}
-
-Status SimRankServer::Serve() {
-  if (listen_fd_ < 0) {
-    return Status::InvalidArgument("Serve() requires a successful Bind()");
-  }
-  // The loop thread itself shows up in profiles, and its kernel tid is
-  // what the watchdog annotates stall warnings with.
-  ScopedProfiledThread profiled_loop("epoll-loop");
-  StartDiagnostics();
-  // An armed watchdog needs the idle loop to keep beating: cap the epoll
-  // wait at the watchdog poll interval instead of blocking forever.
-  const int idle_timeout_ms =
-      options_.watchdog_interval_ms > 0
-          ? static_cast<int>(options_.watchdog_interval_ms)
-          : -1;
-  epoll_event events[64];
-  while (true) {
-    watchdog_.Beat();
-    if (stop_.load(std::memory_order_acquire) && !draining_) {
-      draining_ = true;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    if (draining_) {
-      // Idle keep-alive connections have nothing left to say; everything
-      // else drains through its completion + flush.
-      std::vector<Connection*> idle;
-      for (auto& [fd, conn] : connections_) {
-        if (!conn->awaiting && conn->out_sent == conn->out.size()) {
-          idle.push_back(conn.get());
-        }
-      }
-      for (Connection* conn : idle) CloseConnection(conn);
-      if (connections_.empty() && inflight_ == 0) {
-        StopDiagnostics();
-        return Status::OK();
-      }
-    }
-    const int ready =
-        ::epoll_wait(epoll_fd_, events, 64,
-                     /*timeout_ms=*/draining_ ? 50 : idle_timeout_ms);
-    if (ready < 0 && errno != EINTR) {
-      StopDiagnostics();
-      return Status::IoError(StrFormat("epoll_wait failed: %s",
-                                       std::strerror(errno)));
-    }
-    for (int i = 0; i < ready; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        [[maybe_unused]] const auto ignored =
-            ::read(wake_fd_, &drained, sizeof(drained));
-        continue;
-      }
-      if (fd == listen_fd_) {
-        HandleAccept();
-        continue;
-      }
-      auto it = connections_.find(fd);
-      if (it == connections_.end()) continue;  // closed earlier this batch
-      Connection* conn = it->second.get();
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        if (conn->awaiting || conn->out_sent < conn->out.size()) {
-          // Let the completion/flush path observe the error itself.
-        } else {
-          CloseConnection(conn);
-          continue;
-        }
-      }
-      if (events[i].events & EPOLLIN) HandleReadable(conn);
-      it = connections_.find(fd);
-      if (it == connections_.end() || it->second.get() != conn) continue;
-      if (events[i].events & EPOLLOUT) HandleWritable(conn);
-    }
-    DrainCompletions();
-  }
-}
-
-void SimRankServer::HandleAccept() {
-  while (true) {
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if ((errno == EMFILE || errno == ENFILE) && reserve_fd_ >= 0) {
-        // Out of fds: the pending connection would keep the level-
-        // triggered listener readable forever. Spend the reserve fd to
-        // accept-and-shed it, then re-arm the reserve.
-        ::close(reserve_fd_);
-        reserve_fd_ = -1;
-        const int shed = ::accept4(listen_fd_, nullptr, nullptr,
-                                   SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (shed >= 0) ::close(shed);
-        reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-        continue;
-      }
-      return;  // EAGAIN, or a transient accept failure
-    }
-    stat_connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (connections_.size() >= options_.max_connections) {
-      // Beyond the connection cap there is no buffer to even parse a
-      // request from; shedding at accept keeps existing traffic intact.
-      ::close(fd);
-      continue;
-    }
-    const int enable = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->id = next_connection_id_++;
-    conn->epoll_events = EPOLLIN;
-    epoll_event event = {};
-    event.events = EPOLLIN;
-    event.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event);
-    connections_.emplace(fd, std::move(conn));
-    stat_connections_open_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void SimRankServer::HandleReadable(Connection* conn) {
-  char buffer[4096];
-  // The budget covers a full head plus the largest admissible body — a
-  // request the parser would accept must be able to buffer completely, or
-  // the read-side backpressure below would deadlock it.
-  const size_t input_cap = options_.http.max_request_bytes +
-                           options_.http.max_body_bytes +
-                           kInputBufferSlackBytes;
-  while (conn->in.size() < input_cap) {
-    const ssize_t got = ::recv(conn->fd, buffer, sizeof(buffer), 0);
-    if (got > 0) {
-      conn->in.append(buffer, static_cast<size_t>(got));
-      continue;
-    }
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (got < 0) {
-      CloseConnection(conn);  // hard error; nothing is deliverable
-      return;
-    }
-    conn->peer_eof = true;  // orderly half-close: answer, then close
-    break;
-  }
-  ProcessBufferedRequests(conn);
-}
-
-void SimRankServer::ProcessBufferedRequests(Connection* conn) {
-  // One dispatched query per connection at a time; the rest of the
-  // pipeline waits buffered so responses preserve request order. Parsing
-  // also pauses while the unsent-output backlog is over the cap — a
-  // pipelining client that never reads cannot make `out` grow without
-  // bound, it just stops being read itself.
-  while (!conn->awaiting && !conn->close_after_flush &&
-         conn->out.size() - conn->out_sent < kMaxPendingOutputBytes) {
-    HttpRequest request;
-    const HttpParseStatus parsed =
-        ParseHttpRequest(conn->in, options_.http, &request);
-    if (parsed.outcome == HttpParseStatus::kNeedMore) break;
-    if (parsed.outcome == HttpParseStatus::kError) {
-      conn->request_keep_alive = false;
-      QueueErrorResponse(conn, parsed.error_status, parsed.error_message);
-      break;
-    }
-    conn->in.erase(0, parsed.consumed);
-    conn->request_keep_alive = request.keep_alive;
-    RouteRequest(conn, request);
-  }
-  if (MaybeCloseAfterEof(conn)) return;
-  UpdateEpoll(conn);
-}
-
-/// After a half-close, the connection lives exactly until its buffered
-/// requests are answered and flushed. Returns true when it closed `conn`.
-bool SimRankServer::MaybeCloseAfterEof(Connection* conn) {
-  if (!conn->peer_eof) return false;
-  if (conn->awaiting || conn->out_sent < conn->out.size()) return false;
-  // Nothing in flight, everything flushed; whatever remains buffered is an
-  // incomplete request head that can never complete.
-  CloseConnection(conn);
-  return true;
-}
-
-void SimRankServer::RouteRequest(Connection* conn,
-                                 const HttpRequest& request) {
-  if (access_sink_ != nullptr) {
-    conn->access_start_ns = TraceNowNanos();
-    conn->access_trace_id = 0;
-    conn->access_method = request.method;
-    conn->access_path = request.path;
-  }
-  // /v1/debug/profile parks the connection while a dedicated capture
-  // thread runs the sampling session; everything about it (method checks,
-  // params, the 409 busy answer) is handled out of line.
-  if (request.path == "/v1/debug/profile") {
-    HandleProfileRequest(conn, request);
-    return;
-  }
-  // Inline endpoints: answered on the loop thread, GET only.
-  const bool is_inline = request.path == "/healthz" ||
-                         request.path == "/v1/stats" ||
-                         request.path == "/metrics" ||
-                         request.path == "/v1/wal" ||
-                         request.path == "/v1/debug/slow" ||
-                         request.path == "/v1/debug/timeseries" ||
-                         (options_.debug_stall_limit_ms > 0 &&
-                          request.path == "/v1/debug/stall");
-  // The /internal/* exchange endpoints exist only in the shard role; a
-  // standalone server 404s them like any unknown path.
-  const bool is_internal =
-      options_.sharded && (request.path == "/internal/walks" ||
-                           request.path == "/internal/partial" ||
-                           request.path == "/internal/topk" ||
-                           request.path == "/internal/pair");
-  // Dispatchable endpoints and the method each accepts.
-  ServerEndpoint endpoint = ServerEndpoint::kPair;
-  bool known = false;
-  for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
-    const auto candidate = static_cast<ServerEndpoint>(i);
-    if (request.path == ServerEndpointPath(candidate)) {
-      endpoint = candidate;
-      known = true;
-      break;
-    }
-  }
-  if (!is_inline && !known && !is_internal) {
-    QueueResponse(conn, 404,
-                  ErrorBody("NotFound", "no such endpoint: " + request.path));
-    return;
-  }
-  const bool wants_post =
-      (known && (endpoint == ServerEndpoint::kBatchPair ||
-                 endpoint == ServerEndpoint::kUpdate ||
-                 endpoint == ServerEndpoint::kCompact)) ||
-      (is_internal && request.path != "/internal/walks");
-  const char* allowed = wants_post ? "POST" : "GET";
-  if (request.method != allowed) {
-    QueueResponse(conn, 405,
-                  ErrorBody("MethodNotAllowed",
-                            StrFormat("%s only accepts %s",
-                                      request.path.c_str(), allowed)),
-                  {{"Allow", allowed}});
-    return;
-  }
-  if (!wants_post && !request.body.empty()) {
-    QueueErrorResponse(conn, 400, "GET endpoints take no request body");
-    return;
-  }
-
-  if (request.path == "/healthz") {
-    stat_requests_healthz_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, "ok\n", {}, "text/plain");
-    return;
-  }
-  if (request.path == "/v1/stats") {
-    stat_requests_stats_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, BuildStatsBody());
-    return;
-  }
-  if (request.path == "/metrics") {
-    stat_requests_metrics_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, BuildMetricsBody(), {},
-                  "text/plain; version=0.0.4");
-    return;
-  }
-  if (request.path == "/v1/debug/slow") {
-    stat_requests_debug_slow_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(conn, 200, BuildSlowBody());
-    return;
-  }
-  if (request.path == "/v1/debug/timeseries") {
-    stat_requests_debug_timeseries_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_history_ == nullptr) {
-      QueueResponse(conn, 503,
-                    ErrorBody("Unavailable",
-                              "metrics history is disabled "
-                              "(--metrics-history=0)"));
-      return;
-    }
-    const std::string* metric = request.FindParam("metric");
-    if (metric == nullptr) {
-      // No metric selected: list what is recorded.
-      QueueResponse(conn, 200, metrics_history_->ListJson());
-      return;
-    }
-    uint64_t window = 0;  // 0 = the full configured window
-    const std::string* raw_window = request.FindParam("window");
-    if (raw_window != nullptr && !ParseUint64(*raw_window, &window)) {
-      QueueErrorResponse(conn, 400,
-                         "parameter 'window' must be a span in seconds");
-      return;
-    }
-    QueueResponse(conn, 200, metrics_history_->QueryJson(*metric, window));
-    return;
-  }
-  if (request.path == "/v1/debug/stall") {
-    // Test-only (armed by --debug-stall-limit-ms): block the loop thread
-    // itself so watchdog stall detection can be exercised deterministically.
-    uint64_t ms = options_.debug_stall_limit_ms;
-    const std::string* raw_ms = request.FindParam("ms");
-    if (raw_ms != nullptr && !ParseUint64(*raw_ms, &ms)) {
-      QueueErrorResponse(conn, 400,
-                         "parameter 'ms' must be a duration in milliseconds");
-      return;
-    }
-    ms = std::min<uint64_t>(ms, options_.debug_stall_limit_ms);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    QueueResponse(conn, 200,
-                  StrFormat("{\"stalled_ms\":%llu}",
-                            static_cast<unsigned long long>(ms)));
-    return;
-  }
-  if (request.path == "/v1/wal") {
-    stat_requests_wal_.fetch_add(1, std::memory_order_relaxed);
-    if (updater_ == nullptr) {
-      QueueResponse(conn, 503,
-                    ErrorBody("Unavailable",
-                              "this server keeps no WAL (started without "
-                              "--graph/--wal); nothing to ship"));
-      return;
-    }
-    uint64_t from = 0;
-    const std::string* raw = request.FindParam("from");
-    if (raw != nullptr && !ParseUint64(*raw, &from)) {
-      QueueErrorResponse(conn, 400,
-                         "parameter 'from' must be a record index");
-      return;
-    }
-    // Served inline: WalRecordsFrom copies under its own mutex and never
-    // waits behind a patch, so a replica's poll cadence cannot be starved
-    // by busy workers.
-    QueueResponse(conn, 200, BuildWalStreamBody(*updater_, from), {},
-                  "text/plain");
-    return;
-  }
-
-  if (options_.replica && (endpoint == ServerEndpoint::kUpdate ||
-                           endpoint == ServerEndpoint::kCompact)) {
-    QueueResponse(
-        conn, 403,
-        ErrorBody("Forbidden",
-                  "this server is a replica; it applies batches by tailing "
-                  "its primary's WAL, never by direct writes"));
-    return;
-  }
-  if (options_.sharded && !is_internal) {
-    const ShardRange& range =
-        options_.shard_plan.shards[options_.shard_id];
-    const bool partial_shard =
-        range.begin != 0 || range.end != engine_.index().n();
-    if (partial_shard && (endpoint == ServerEndpoint::kSingleSource ||
-                          endpoint == ServerEndpoint::kTopK)) {
-      QueueResponse(
-          conn, 421,
-          ErrorBody("Misdirected",
-                    StrFormat("%s spans every shard; this shard serves "
-                              "only [%u, %u) — ask the router",
-                              request.path.c_str(), range.begin,
-                              range.end)));
-      return;
-    }
-  }
-
-  if ((endpoint == ServerEndpoint::kUpdate ||
-       endpoint == ServerEndpoint::kCompact) &&
-      updater_ == nullptr) {
-    QueueResponse(
-        conn, 503,
-        ErrorBody("Unavailable",
-                  "dynamic updates are disabled: the server was started "
-                  "without an update log (--graph/--wal)"));
-    return;
-  }
-  if (is_internal) {
-    // Internal exchanges ride the public admission classes of the work
-    // they stand in for: row fetch / partial row under single_source,
-    // slice top-k under topk, one-sided pair under pair.
-    endpoint = request.path == "/internal/topk" ? ServerEndpoint::kTopK
-               : request.path == "/internal/pair"
-                   ? ServerEndpoint::kPair
-                   : ServerEndpoint::kSingleSource;
-  }
-  DispatchQuery(conn, endpoint, request);
-}
-
 namespace {
 
 /// Parses the required uint32 parameter `name`, appending a 400-worthy
@@ -1231,41 +618,207 @@ bool ParseSeqParam(const HttpRequest& request, const char* name,
   return true;
 }
 
-/// Rejects parameters the endpoint does not define (and duplicates), so a
-/// typo like `/v1/pair?a=1&c=2` fails loudly instead of querying b=0.
-bool CheckAllowedParams(const HttpRequest& request,
-                        std::initializer_list<const char*> allowed,
-                        std::string* error) {
-  std::vector<std::string_view> seen;
-  for (const auto& [key, value] : request.params) {
-    bool known = false;
-    for (const char* name : allowed) known = known || key == name;
-    if (!known) {
-      *error = StrFormat("unknown parameter '%s'", key.c_str());
-      return false;
-    }
-    for (const std::string_view earlier : seen) {
-      if (earlier == key) {
-        *error = StrFormat("duplicate parameter '%s'", key.c_str());
-        return false;
-      }
-    }
-    seen.push_back(key);
-  }
-  return true;
+bool IsWriteEndpoint(ServerEndpoint endpoint) {
+  return endpoint == ServerEndpoint::kUpdate ||
+         endpoint == ServerEndpoint::kCompact;
+}
+
+FrontendOptions FrontendOptionsFor(const ServerOptions& options) {
+  FrontendOptions frontend;
+  frontend.bind_address = options.bind_address;
+  frontend.port = options.port;
+  frontend.threads = options.threads;
+  frontend.max_inflight = options.max_inflight;
+  frontend.max_class_inflight = options.max_endpoint_inflight;
+  frontend.max_connections = options.max_connections;
+  frontend.retry_after_seconds = options.retry_after_seconds;
+  frontend.handler_delay_ms = options.handler_delay_ms;
+  frontend.http = options.http;
+  frontend.trace_sample = options.trace_sample;
+  frontend.slow_query_us = options.slow_query_us;
+  frontend.slow_ring_capacity = options.slow_ring_capacity;
+  frontend.trace_log_path = options.trace_log_path;
+  frontend.access_log_path = options.access_log_path;
+  frontend.profile_log_path = options.profile_log_path;
+  frontend.profile_log_hz = options.profile_log_hz;
+  frontend.profile_log_period_s = options.profile_log_period_s;
+  frontend.watchdog_interval_ms = options.watchdog_interval_ms;
+  frontend.watchdog_stall_us = options.watchdog_stall_us;
+  frontend.metrics_history_window_s = options.metrics_history_window_s;
+  frontend.metrics_history_interval_ms = options.metrics_history_interval_ms;
+  return frontend;
 }
 
 }  // namespace
 
-void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
-                                  const HttpRequest& request) {
-  const auto slot = static_cast<size_t>(endpoint);
-  stat_requests_[slot].fetch_add(1, std::memory_order_relaxed);
+SimRankServer::SimRankServer(QueryEngine& engine,
+                             const ServerOptions& options,
+                             IndexUpdater* updater)
+    : engine_(engine),
+      options_(options),
+      updater_(updater),
+      frontend_(FrontendOptionsFor(options), ServerEndpointClasses(),
+                [this] { return BuildMetricsBody(); }) {
+  auto dispatched = [this](std::string path, const char* method,
+                           ServerEndpoint endpoint) {
+    FrontendRoute route;
+    route.path = std::move(path);
+    route.method = method;
+    route.admission_class = static_cast<uint32_t>(endpoint);
+    route.prepare = [this, endpoint](const HttpRequest& request,
+                                     FrontendResponse* reject) {
+      return Prepare(endpoint, request, reject);
+    };
+    frontend_.AddRoute(std::move(route));
+  };
+  for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
+    const auto endpoint = static_cast<ServerEndpoint>(i);
+    dispatched(ServerEndpointPath(endpoint), ServerEndpointMethod(endpoint),
+               endpoint);
+  }
+  if (options_.sharded) {
+    // The /internal/* exchange endpoints exist only in the shard role (a
+    // standalone server 404s them like any unknown path). They ride the
+    // admission classes of the work they stand in for: row fetch and
+    // partial row under single_source, slice top-k under topk, one-sided
+    // pair under pair.
+    dispatched("/internal/walks", "GET", ServerEndpoint::kSingleSource);
+    dispatched("/internal/partial", "POST", ServerEndpoint::kSingleSource);
+    dispatched("/internal/topk", "POST", ServerEndpoint::kTopK);
+    dispatched("/internal/pair", "POST", ServerEndpoint::kPair);
+  }
+
+  auto answered = [this](std::string path,
+                         std::function<FrontendResponse(const HttpRequest&)>
+                             answer) {
+    FrontendRoute route;
+    route.path = std::move(path);
+    route.answer = std::move(answer);
+    frontend_.AddRoute(std::move(route));
+  };
+  answered("/v1/stats", [this](const HttpRequest&) {
+    stat_requests_stats_.fetch_add(1, std::memory_order_relaxed);
+    return FrontendResponse{200, BuildStatsBody()};
+  });
+  answered("/metrics", [this](const HttpRequest&) {
+    stat_requests_metrics_.fetch_add(1, std::memory_order_relaxed);
+    return FrontendResponse{200, BuildMetricsBody(),
+                            "text/plain; version=0.0.4"};
+  });
+  answered("/v1/debug/slow", [this](const HttpRequest&) {
+    stat_requests_debug_slow_.fetch_add(1, std::memory_order_relaxed);
+    return FrontendResponse{200, frontend_.BuildSlowBody()};
+  });
+  answered("/v1/wal", [this](const HttpRequest& request) {
+    stat_requests_wal_.fetch_add(1, std::memory_order_relaxed);
+    if (updater_ == nullptr) {
+      return ErrorResponse(503, "Unavailable",
+                           "this server keeps no WAL (started without "
+                           "--graph/--wal); nothing to ship");
+    }
+    uint64_t from = 0;
+    const std::string* raw = request.FindParam("from");
+    if (raw != nullptr && !ParseUint64(*raw, &from)) {
+      return ErrorResponse(400, "InvalidArgument",
+                           "parameter 'from' must be a record index");
+    }
+    // Served inline: WalRecordsFrom copies under its own mutex and never
+    // waits behind a patch, so a replica's poll cadence cannot be starved
+    // by busy workers.
+    return FrontendResponse{200, BuildWalStreamBody(*updater_, from),
+                            "text/plain"};
+  });
+  if (options_.debug_stall_limit_ms > 0) {
+    // Test-only: block the loop thread itself so watchdog stall detection
+    // can be exercised deterministically.
+    answered("/v1/debug/stall", [this](const HttpRequest& request) {
+      uint64_t ms = options_.debug_stall_limit_ms;
+      const std::string* raw_ms = request.FindParam("ms");
+      if (raw_ms != nullptr && !ParseUint64(*raw_ms, &ms)) {
+        return ErrorResponse(
+            400, "InvalidArgument",
+            "parameter 'ms' must be a duration in milliseconds");
+      }
+      ms = std::min<uint64_t>(ms, options_.debug_stall_limit_ms);
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      return FrontendResponse{
+          200, StrFormat("{\"stalled_ms\":%llu}",
+                         static_cast<unsigned long long>(ms))};
+    });
+  }
+}
+
+SimRankServer::~SimRankServer() = default;
+
+Status SimRankServer::Bind() {
+  OIPSIM_RETURN_IF_ERROR(options_.Validate());
+  if (options_.sharded) {
+    // The plan must be the one the served shard file was split under: same
+    // vertex universe, same base graph. Serving a shard against the wrong
+    // plan would silently cross-wire the cluster's answers.
+    const WalkIndex& index = engine_.index();
+    if (options_.shard_plan.n != index.n()) {
+      return Status::InvalidArgument(
+          StrFormat("shard plan partitions n=%u but the served index has "
+                    "n=%u vertices",
+                    options_.shard_plan.n, index.n()));
+    }
+    if (options_.shard_plan.graph_fingerprint !=
+        index.graph_fingerprint()) {
+      return Status::InvalidArgument(StrFormat(
+          "shard plan is bound to graph %s but the served index was built "
+          "from %s",
+          FormatFingerprint(options_.shard_plan.graph_fingerprint).c_str(),
+          FormatFingerprint(index.graph_fingerprint()).c_str()));
+    }
+  }
+  return frontend_.Bind();
+}
+
+Status SimRankServer::Serve() { return frontend_.Serve(); }
+
+void SimRankServer::Shutdown() { frontend_.Shutdown(); }
+
+FrontendWork SimRankServer::Prepare(ServerEndpoint endpoint,
+                                    const HttpRequest& request,
+                                    FrontendResponse* reject) {
+  const bool internal = StartsWith(request.path, "/internal/");
+  if (!internal) {
+    if (options_.replica && IsWriteEndpoint(endpoint)) {
+      *reject = ErrorResponse(
+          403, "Forbidden",
+          "this server is a replica; it applies batches by tailing its "
+          "primary's WAL, never by direct writes");
+      return {};
+    }
+    if (options_.sharded && (endpoint == ServerEndpoint::kSingleSource ||
+                             endpoint == ServerEndpoint::kTopK)) {
+      const ShardRange& range =
+          options_.shard_plan.shards[options_.shard_id];
+      if (range.begin != 0 || range.end != engine_.index().n()) {
+        *reject = ErrorResponse(
+            421, "Misdirected",
+            StrFormat("%s spans every shard; this shard serves only "
+                      "[%u, %u) — ask the router",
+                      request.path.c_str(), range.begin, range.end));
+        return {};
+      }
+    }
+    if (IsWriteEndpoint(endpoint) && updater_ == nullptr) {
+      *reject = ErrorResponse(
+          503, "Unavailable",
+          "dynamic updates are disabled: the server was started without "
+          "an update log (--graph/--wal)");
+      return {};
+    }
+  }
+  stat_requests_[static_cast<size_t>(endpoint)].fetch_add(
+      1, std::memory_order_relaxed);
 
   QueryArgs args;
   std::string error;
   bool params_ok = false;
-  if (StartsWith(request.path, "/internal/")) {
+  if (internal) {
     if (request.path == "/internal/walks") {
       args.internal = QueryArgs::Internal::kWalks;
       params_ok = CheckAllowedParams(request, {"v"}, &error) &&
@@ -1319,479 +872,45 @@ void SimRankServer::DispatchQuery(Connection* conn, ServerEndpoint endpoint,
         args.body = request.body;
         break;
     }
-    // ?trace=1 inlines the trace JSON into the response envelope — the
-    // only tracing channel allowed to change a body.
-    const std::string* trace_param = request.FindParam("trace");
-    if (params_ok && trace_param != nullptr) {
-      if (*trace_param == "1") {
-        args.trace_inline = true;
-      } else if (*trace_param != "0") {
-        params_ok = false;
-        error = StrFormat("parameter 'trace' must be 0 or 1, got '%s'",
-                          trace_param->c_str());
-      }
-    }
   }
   if (!params_ok) {
-    QueueErrorResponse(conn, 400, error);
-    return;
+    *reject = ErrorResponse(400, "InvalidArgument", error);
+    return {};
   }
-  // X-Simrank-Trace activates tracing without touching the body: the
-  // trace comes back in the X-Simrank-Trace-Json response header. This is
-  // how the router threads one trace id through its shard fan-out (the
-  // /internal/* bodies are binary and must stay byte-exact).
-  if (const std::string* header = request.FindHeader("x-simrank-trace")) {
-    uint64_t id = 0;
-    if (ParseTraceId(*header, &id)) {
-      args.trace_header = true;
-      args.trace_id = id;
-    }
-  }
-  // Ambient tracing: every request when a slow-query threshold is armed
-  // (the slow ones must already have a trace by the time they turn out
-  // slow), else a trace_sample coin flip.
-  if (options_.slow_query_us > 0) {
-    args.trace_sampled = true;
-  } else if (options_.trace_sample > 0.0) {
-    // xorshift64*: cheap, loop-thread-only, statistical only.
-    sample_state_ ^= sample_state_ >> 12;
-    sample_state_ ^= sample_state_ << 25;
-    sample_state_ ^= sample_state_ >> 27;
-    const uint64_t draw = sample_state_ * 0x2545F4914F6CDD1Dull;
-    args.trace_sampled =
-        static_cast<double>(draw >> 11) * 0x1.0p-53 < options_.trace_sample;
-  }
-  const bool traced =
-      args.trace_inline || args.trace_header || args.trace_sampled;
-  if (traced) {
-    if (args.trace_id == 0) args.trace_id = GenerateTraceId();
-    // Reassembled path + query (the parser splits the raw target) so slow
-    // captures name the exact request.
-    args.target = request.path;
-    for (size_t i = 0; i < request.params.size(); ++i) {
-      args.target += i == 0 ? '?' : '&';
-      args.target += request.params[i].first;
-      args.target += '=';
-      args.target += request.params[i].second;
-    }
-    if (access_sink_ != nullptr) conn->access_trace_id = args.trace_id;
-  }
-  if (options_.sharded && args.internal == QueryArgs::Internal::kNone &&
-      endpoint == ServerEndpoint::kPair) {
+  if (options_.sharded && !internal && endpoint == ServerEndpoint::kPair) {
     // A shard's pair answer is exact only when both rows are local.
     const ShardRange& range =
         options_.shard_plan.shards[options_.shard_id];
     if (!range.Contains(args.a) || !range.Contains(args.b)) {
-      QueueResponse(
-          conn, 421,
-          ErrorBody("Misdirected",
-                    StrFormat("pair (%u, %u) is not fully inside this "
-                              "shard's vertex range [%u, %u); ask the "
-                              "router",
-                              args.a, args.b, range.begin, range.end)));
-      return;
+      *reject = ErrorResponse(
+          421, "Misdirected",
+          StrFormat("pair (%u, %u) is not fully inside this shard's vertex "
+                    "range [%u, %u); ask the router",
+                    args.a, args.b, range.begin, range.end));
+      return {};
     }
   }
-
-  // Admission control: bounded queues, never buffered overload. The global
-  // cap answers 429 (the client is fanning out faster than the pool
-  // drains), the per-endpoint cap 503 (this endpoint specifically is
-  // saturated); both tell the client when to come back.
-  const std::vector<std::pair<std::string, std::string>> retry_after = {
-      {"Retry-After", StrFormat("%u", options_.retry_after_seconds)}};
-  if (inflight_ >= options_.max_inflight) {
-    stat_rejected_inflight_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        conn, 429,
-        ErrorBody("Overloaded",
-                  StrFormat("server is at its in-flight cap (%u); retry",
-                            options_.max_inflight)),
-        retry_after);
-    return;
-  }
-  if (endpoint_inflight_[slot] >= options_.max_endpoint_inflight) {
-    stat_rejected_endpoint_.fetch_add(1, std::memory_order_relaxed);
-    QueueResponse(
-        conn, 503,
-        ErrorBody("Overloaded",
-                  StrFormat("endpoint %s is at its in-flight cap (%u); retry",
-                            ServerEndpointPath(endpoint),
-                            options_.max_endpoint_inflight)),
-        retry_after);
-    return;
-  }
-
-  ++inflight_;
-  ++endpoint_inflight_[slot];
-  stat_inflight_.store(inflight_, std::memory_order_relaxed);
-  conn->awaiting = true;
-  const int fd = conn->fd;
-  const uint64_t connection_id = conn->id;
-  const auto dispatched_at = std::chrono::steady_clock::now();
-  // One clock read per *traced* dispatch; untraced requests skip it.
-  const uint64_t dispatch_ns = traced ? TraceNowNanos() : 0;
-  pool_.Submit([this, fd, connection_id, endpoint, dispatched_at,
-                dispatch_ns, args = std::move(args)] {
-    // Queue-wait component of latency: dispatch to the moment a worker
-    // actually picks the query up. Recorded before the synthetic
-    // handler delay so tests measure real scheduling, not the injection.
-    dispatch_latency_.Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - dispatched_at)
-            .count()));
-    if (options_.handler_delay_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.handler_delay_ms));
+  return [this, endpoint, args = std::move(args)]() -> FrontendResponse {
+    if (args.internal != QueryArgs::Internal::kNone) {
+      return ExecuteInternal(engine_, updater_, options_, args);
     }
-    const bool traced =
-        args.trace_inline || args.trace_header || args.trace_sampled;
-    std::optional<TraceRecorder> recorder;
-    if (traced) recorder.emplace(args.trace_id);
-    Completion completion;
-    completion.fd = fd;
-    completion.connection_id = connection_id;
-    completion.endpoint = endpoint;
-    {
-      // Bound for the duration of the query: every TraceScope/TraceAdd
-      // down in the engine lands in this recorder (or no-ops when null).
-      TraceBinding binding(traced ? &*recorder : nullptr);
-      if (traced) {
-        recorder->AddCompletedSpan(TraceStage::kQueueWait, dispatch_ns,
-                                   TraceNowNanos() - dispatch_ns);
-      }
-      TraceScope root(TraceStage::kRequest, ServerEndpointName(endpoint));
-      if (args.internal != QueryArgs::Internal::kNone) {
-        ExchangeResponse exchange =
-            ExecuteInternal(engine_, updater_, options_, args);
-        completion.status = exchange.status;
-        completion.body = std::move(exchange.body);
-        completion.content_type = std::move(exchange.content_type);
-        completion.headers = std::move(exchange.headers);
-      } else {
-        std::pair<int, std::string> result;
-        switch (endpoint) {
-          case ServerEndpoint::kPair:
-            result = ExecutePair(engine_, args);
-            break;
-          case ServerEndpoint::kSingleSource:
-            result = ExecuteSingleSource(engine_, args);
-            break;
-          case ServerEndpoint::kTopK:
-            result = ExecuteTopK(engine_, args);
-            break;
-          case ServerEndpoint::kBatchPair:
-            result = ExecuteBatchPair(engine_, args, options_);
-            break;
-          case ServerEndpoint::kUpdate:
-            result = ExecuteUpdate(engine_, *updater_, args);
-            break;
-          case ServerEndpoint::kCompact:
-            result = ExecuteCompact(*updater_, options_);
-            break;
-        }
-        completion.status = result.first;
-        completion.body = std::move(result.second);
-      }
+    switch (endpoint) {
+      case ServerEndpoint::kPair:
+        return ExecutePair(engine_, args);
+      case ServerEndpoint::kSingleSource:
+        return ExecuteSingleSource(engine_, args);
+      case ServerEndpoint::kTopK:
+        return ExecuteTopK(engine_, args);
+      case ServerEndpoint::kBatchPair:
+        return ExecuteBatchPair(engine_, args, options_);
+      case ServerEndpoint::kUpdate:
+        return ExecuteUpdate(engine_, *updater_, args);
+      case ServerEndpoint::kCompact:
+        return ExecuteCompact(*updater_, options_);
     }
-    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-        std::chrono::steady_clock::now() - dispatched_at);
-    latency_[static_cast<size_t>(endpoint)].Record(
-        static_cast<uint64_t>(elapsed.count()));
-    if (traced) {
-      stat_traced_requests_.fetch_add(1, std::memory_order_relaxed);
-      FoldTrace(*recorder);
-      const uint64_t elapsed_us = static_cast<uint64_t>(elapsed.count());
-      const bool slow = options_.slow_query_us > 0 &&
-                        elapsed_us >= options_.slow_query_us;
-      const bool sampled_capture =
-          args.trace_sampled && options_.slow_query_us == 0;
-      if (slow || sampled_capture) {
-        CaptureTrace(*recorder, args.target, elapsed_us);
-      }
-      if (args.trace_inline && completion.body.size() > 2 &&
-          completion.body.front() == '{' && completion.body.back() == '}') {
-        // Splice the trace into the JSON envelope. Only the explicit
-        // ?trace=1 opt-in ever changes a response body.
-        completion.body.insert(completion.body.size() - 1,
-                               ",\"trace\":" + recorder->ToJson());
-      }
-      if (args.trace_header) {
-        completion.headers.emplace_back("X-Simrank-Trace-Json",
-                                        recorder->ToJson());
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(completions_mutex_);
-      completions_.push_back(std::move(completion));
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] const auto ignored =
-        ::write(wake_fd_, &one, sizeof(one));
-  });
+    return ErrorResponse(500, "Internal", "unknown endpoint");
+  };
 }
-
-void SimRankServer::DrainCompletions() {
-  std::deque<Completion> batch;
-  {
-    std::lock_guard<std::mutex> lock(completions_mutex_);
-    batch.swap(completions_);
-  }
-  for (Completion& completion : batch) {
-    if (completion.admission) {
-      --inflight_;
-      --endpoint_inflight_[static_cast<size_t>(completion.endpoint)];
-      stat_inflight_.store(inflight_, std::memory_order_relaxed);
-    }
-    auto it = connections_.find(completion.fd);
-    if (it == connections_.end() ||
-        it->second->id != completion.connection_id) {
-      continue;  // the client hung up mid-query; drop the answer
-    }
-    Connection* conn = it->second.get();
-    conn->awaiting = false;
-    QueueResponse(conn, completion.status, completion.body,
-                  completion.headers, completion.content_type);
-    // The response is queued; pipelined follow-ups may now proceed (this
-    // also closes half-closed connections once they flush).
-    ProcessBufferedRequests(conn);
-  }
-}
-
-void SimRankServer::HandleProfileRequest(Connection* conn,
-                                         const HttpRequest& request) {
-  stat_requests_debug_profile_.fetch_add(1, std::memory_order_relaxed);
-  if (request.method != "GET") {
-    QueueResponse(conn, 405,
-                  ErrorBody("MethodNotAllowed",
-                            "/v1/debug/profile only accepts GET"),
-                  {{"Allow", "GET"}});
-    return;
-  }
-  if (!request.body.empty()) {
-    QueueErrorResponse(conn, 400, "GET endpoints take no request body");
-    return;
-  }
-  std::string error;
-  if (!CheckAllowedParams(request, {"seconds", "hz"}, &error)) {
-    QueueErrorResponse(conn, 400, error);
-    return;
-  }
-  double seconds = 2.0;
-  if (const std::string* raw = request.FindParam("seconds")) {
-    if (!ParseDouble(*raw, &seconds) || !(seconds > 0.0) ||
-        seconds > CpuProfiler::kMaxSeconds) {
-      QueueErrorResponse(
-          conn, 400,
-          StrFormat("parameter 'seconds' must be in (0, %g]",
-                    CpuProfiler::kMaxSeconds));
-      return;
-    }
-  }
-  uint64_t hz = CpuProfiler::kDefaultHz;
-  if (const std::string* raw = request.FindParam("hz")) {
-    if (!ParseUint64(*raw, &hz) || hz == 0 || hz > CpuProfiler::kMaxHz) {
-      QueueErrorResponse(conn, 400,
-                         StrFormat("parameter 'hz' must be in [1, %u]",
-                                   CpuProfiler::kMaxHz));
-      return;
-    }
-  }
-  bool expected = false;
-  if (!profile_busy_.compare_exchange_strong(expected, true)) {
-    QueueResponse(conn, 409,
-                  ErrorBody("Busy",
-                            "a profiling session is already running; retry "
-                            "when it finishes"));
-    return;
-  }
-  // Park the connection and capture on a dedicated thread: the session
-  // sleeps for `seconds`, which must not block the loop or hold a worker.
-  conn->awaiting = true;
-  const int fd = conn->fd;
-  const uint64_t connection_id = conn->id;
-  std::lock_guard<std::mutex> lock(profile_threads_mutex_);
-  // The previous session (if any) released profile_busy_ before pushing
-  // its completion, so these joins only wait out its final microseconds.
-  for (std::thread& thread : profile_threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  profile_threads_.clear();
-  profile_threads_.emplace_back([this, fd, connection_id, seconds, hz] {
-    auto profiled =
-        CpuProfiler::Instance().ProfileFor(seconds, static_cast<uint32_t>(hz));
-    profile_busy_.store(false, std::memory_order_release);
-    Completion completion;
-    completion.fd = fd;
-    completion.connection_id = connection_id;
-    completion.admission = false;
-    if (!profiled.ok()) {
-      // The profiler itself was busy (e.g. a --profile-log period is
-      // mid-capture) or the platform lacks support.
-      completion.status = 409;
-      completion.body = ErrorBody("Busy", profiled.status().message());
-    } else {
-      const ProfileReport& report = *profiled;
-      completion.status = 200;
-      completion.content_type = "text/plain";
-      completion.body = StrFormat(
-          "# profile duration_seconds=%.3f frequency_hz=%u samples=%llu "
-          "dropped=%llu threads=%u\n",
-          report.duration_seconds, report.frequency_hz,
-          static_cast<unsigned long long>(report.total_samples),
-          static_cast<unsigned long long>(report.dropped_samples),
-          report.armed_threads);
-      completion.body += report.collapsed;
-    }
-    {
-      std::lock_guard<std::mutex> completions_lock(completions_mutex_);
-      completions_.push_back(std::move(completion));
-    }
-    const uint64_t one = 1;
-    [[maybe_unused]] const auto ignored =
-        ::write(wake_fd_, &one, sizeof(one));
-  });
-}
-
-void SimRankServer::StartDiagnostics() {
-  if (options_.watchdog_interval_ms > 0) {
-    WatchdogOptions watchdog_options;
-    watchdog_options.poll_interval_ms = options_.watchdog_interval_ms;
-    watchdog_options.stall_threshold_us = options_.watchdog_stall_us;
-    watchdog_options.name = "epoll-loop";
-    watchdog_.set_options(watchdog_options);
-    // Called from the loop thread itself, so this tid is the loop's.
-    watchdog_.SetWatchedTid(CurrentTid());
-    watchdog_.SetQueueDepthProvider([this] { return pool_.queue_depth(); });
-    watchdog_.Start();
-  }
-  if (metrics_history_ != nullptr && metrics_sampler_ == nullptr) {
-    metrics_sampler_ = std::make_unique<MetricsSampler>(
-        metrics_history_.get(), [this] { return BuildMetricsBody(); });
-  }
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Start();
-}
-
-void SimRankServer::StopDiagnostics() {
-  watchdog_.Stop();
-  if (metrics_sampler_ != nullptr) metrics_sampler_->Stop();
-  if (profile_logger_ != nullptr) profile_logger_->Stop();
-  std::lock_guard<std::mutex> lock(profile_threads_mutex_);
-  for (std::thread& thread : profile_threads_) {
-    if (thread.joinable()) thread.join();
-  }
-  profile_threads_.clear();
-}
-
-void SimRankServer::QueueResponse(
-    Connection* conn, int status, std::string_view body,
-    const std::vector<std::pair<std::string, std::string>>& extra_headers,
-    std::string_view content_type) {
-  const bool keep =
-      conn->request_keep_alive && !draining_ && !conn->close_after_flush;
-  HttpResponseOptions response_options;
-  response_options.keep_alive = keep;
-  response_options.content_type = content_type;
-  response_options.extra_headers = extra_headers;
-  conn->out += BuildHttpResponse(status, body, response_options);
-  if (!keep) conn->close_after_flush = true;
-  CountResponse(status);
-  if (access_sink_ != nullptr && !conn->access_method.empty()) {
-    LogAccess(*conn, status, body.size());
-    conn->access_method.clear();
-  }
-  UpdateEpoll(conn);
-}
-
-void SimRankServer::QueueErrorResponse(Connection* conn, int status,
-                                       std::string_view message) {
-  const char* code = status == 400 ? "InvalidArgument" : "BadRequest";
-  QueueResponse(conn, status, ErrorBody(code, message));
-}
-
-void SimRankServer::HandleWritable(Connection* conn) {
-  while (conn->out_sent < conn->out.size()) {
-    const ssize_t sent =
-        ::send(conn->fd, conn->out.data() + conn->out_sent,
-               conn->out.size() - conn->out_sent, MSG_NOSIGNAL);
-    if (sent > 0) {
-      conn->out_sent += static_cast<size_t>(sent);
-      continue;
-    }
-    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    CloseConnection(conn);  // peer is gone; nothing left to deliver
-    return;
-  }
-  conn->out.clear();
-  conn->out_sent = 0;
-  if (conn->close_after_flush && !conn->awaiting) {
-    CloseConnection(conn);
-    return;
-  }
-  // Output drained: resume any requests that were parked on the
-  // output-backlog backpressure cap (no-op when there are none).
-  ProcessBufferedRequests(conn);
-}
-
-void SimRankServer::UpdateEpoll(Connection* conn) {
-  // Backpressure: a connection over its input or unsent-output budget is
-  // not read until the backlog drains (ProcessBufferedRequests and
-  // HandleWritable re-run this as they consume).
-  const bool over_budget =
-      conn->in.size() >= options_.http.max_request_bytes +
-                             options_.http.max_body_bytes +
-                             kInputBufferSlackBytes ||
-      conn->out.size() - conn->out_sent >= kMaxPendingOutputBytes;
-  uint32_t desired = 0;
-  if (!conn->close_after_flush && !conn->peer_eof && !over_budget) {
-    desired |= EPOLLIN;
-  }
-  if (conn->out_sent < conn->out.size()) desired |= EPOLLOUT;
-  if (desired == conn->epoll_events) return;
-  epoll_event event = {};
-  event.events = desired;
-  event.data.fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &event);
-  conn->epoll_events = desired;
-}
-
-void SimRankServer::CloseConnection(Connection* conn) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  connections_.erase(conn->fd);
-  stat_connections_open_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-#else  // !OIPSIM_HAVE_EPOLL
-
-Status SimRankServer::Bind() {
-  return Status::Unimplemented(
-      "SimRankServer requires Linux epoll/eventfd");
-}
-Status SimRankServer::Serve() {
-  return Status::Unimplemented(
-      "SimRankServer requires Linux epoll/eventfd");
-}
-void SimRankServer::Shutdown() { stop_.store(true); }
-void SimRankServer::HandleAccept() {}
-void SimRankServer::HandleReadable(Connection*) {}
-void SimRankServer::HandleWritable(Connection*) {}
-void SimRankServer::ProcessBufferedRequests(Connection*) {}
-bool SimRankServer::MaybeCloseAfterEof(Connection*) { return false; }
-void SimRankServer::RouteRequest(Connection*, const HttpRequest&) {}
-void SimRankServer::DispatchQuery(Connection*, ServerEndpoint,
-                                  const HttpRequest&) {}
-void SimRankServer::DrainCompletions() {}
-void SimRankServer::HandleProfileRequest(Connection*, const HttpRequest&) {}
-void SimRankServer::StartDiagnostics() {}
-void SimRankServer::StopDiagnostics() {}
-void SimRankServer::QueueResponse(
-    Connection*, int, std::string_view,
-    const std::vector<std::pair<std::string, std::string>>&) {}
-void SimRankServer::QueueErrorResponse(Connection*, int, std::string_view) {}
-void SimRankServer::UpdateEpoll(Connection*) {}
-void SimRankServer::CloseConnection(Connection*) {}
-
-#endif  // OIPSIM_HAVE_EPOLL
 
 Status SimRankServer::Warm(std::span<const VertexId> vertices) {
   const uint32_t n = engine_.index().n();
@@ -1812,54 +931,33 @@ Status SimRankServer::Warm(std::span<const VertexId> vertices) {
 }
 
 ServerStats SimRankServer::stats() const {
+  const FrontendStats frontend = frontend_.stats();
   ServerStats stats;
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
     stats.requests[i] = stat_requests_[i].load(std::memory_order_relaxed);
   }
   stats.requests_stats =
       stat_requests_stats_.load(std::memory_order_relaxed);
-  stats.requests_healthz =
-      stat_requests_healthz_.load(std::memory_order_relaxed);
+  stats.requests_healthz = frontend.healthz;
   stats.requests_metrics =
       stat_requests_metrics_.load(std::memory_order_relaxed);
   stats.requests_wal = stat_requests_wal_.load(std::memory_order_relaxed);
   stats.requests_debug_slow =
       stat_requests_debug_slow_.load(std::memory_order_relaxed);
-  stats.requests_debug_profile =
-      stat_requests_debug_profile_.load(std::memory_order_relaxed);
-  stats.requests_debug_timeseries =
-      stat_requests_debug_timeseries_.load(std::memory_order_relaxed);
-  stats.traced_requests =
-      stat_traced_requests_.load(std::memory_order_relaxed);
-  stats.slow_captured = slow_log_.total_recorded();
-  stats.responses_2xx = stat_responses_2xx_.load(std::memory_order_relaxed);
-  stats.responses_4xx = stat_responses_4xx_.load(std::memory_order_relaxed);
-  stats.responses_5xx = stat_responses_5xx_.load(std::memory_order_relaxed);
-  stats.rejected_inflight =
-      stat_rejected_inflight_.load(std::memory_order_relaxed);
-  stats.rejected_endpoint =
-      stat_rejected_endpoint_.load(std::memory_order_relaxed);
-  stats.rejected_misdirected =
-      stat_rejected_misdirected_.load(std::memory_order_relaxed);
-  stats.connections_accepted =
-      stat_connections_accepted_.load(std::memory_order_relaxed);
-  stats.connections_open =
-      stat_connections_open_.load(std::memory_order_relaxed);
-  stats.inflight = stat_inflight_.load(std::memory_order_relaxed);
+  stats.requests_debug_profile = frontend.debug_profile;
+  stats.requests_debug_timeseries = frontend.debug_timeseries;
+  stats.traced_requests = frontend.traced_requests;
+  stats.slow_captured = frontend_.slow_log().total_recorded();
+  stats.responses_2xx = frontend.responses_2xx;
+  stats.responses_4xx = frontend.responses_4xx;
+  stats.responses_5xx = frontend.responses_5xx;
+  stats.rejected_inflight = frontend.rejected_inflight;
+  stats.rejected_endpoint = frontend.rejected_class;
+  stats.rejected_misdirected = frontend.misdirected;
+  stats.connections_accepted = frontend.connections_accepted;
+  stats.connections_open = frontend.connections_open;
+  stats.inflight = frontend.inflight;
   return stats;
-}
-
-void SimRankServer::CountResponse(int status) {
-  if (status < 300) {
-    stat_responses_2xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status < 500) {
-    stat_responses_4xx_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stat_responses_5xx_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (status == 421) {
-    stat_rejected_misdirected_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 std::string SimRankServer::BuildStatsBody() const {
@@ -1869,11 +967,11 @@ std::string SimRankServer::BuildStatsBody() const {
   JsonWriter json;
   json.BeginObject();
   json.Key("server").BeginObject();
-  json.Key("inflight").Uint(inflight_);
+  json.Key("inflight").Uint(stats.inflight);
   json.Key("max_inflight").Uint(options_.max_inflight);
   json.Key("max_endpoint_inflight").Uint(options_.max_endpoint_inflight);
-  json.Key("threads").Uint(pool_.num_threads());
-  json.Key("draining").Bool(draining_);
+  json.Key("threads").Uint(frontend_.num_threads());
+  json.Key("draining").Bool(frontend_.draining());
   json.Key("uptime_seconds").Double(UptimeSeconds());
   json.EndObject();
   // What exactly is running: resolved at build (version, compiler) and at
@@ -1890,7 +988,7 @@ std::string SimRankServer::BuildStatsBody() const {
   json.Key("io_uring_enabled").Bool(SegmentReader::IoUringEnabled());
   json.EndObject();
   {
-    const Watchdog::Snapshot dog = watchdog_.snapshot();
+    const Watchdog::Snapshot dog = frontend_.watchdog_snapshot();
     json.Key("watchdog").BeginObject();
     json.Key("armed").Bool(options_.watchdog_interval_ms > 0);
     json.Key("loop_lag_us").Uint(dog.loop_lag_us);
@@ -1899,7 +997,7 @@ std::string SimRankServer::BuildStatsBody() const {
     json.Key("max_queue_depth").Uint(dog.max_queue_depth);
     json.Key("stalls").Uint(dog.stalls);
     json.Key("last_stall_us").Uint(dog.last_stall_us);
-    const LatencyHistogram::Snapshot dispatch = dispatch_latency_.snapshot();
+    const LatencyHistogram::Snapshot dispatch = frontend_.dispatch_latency();
     json.Key("dispatch_latency_us").BeginObject();
     json.Key("count").Uint(dispatch.count);
     json.Key("p50_us").Uint(dispatch.QuantileUpperMicros(0.5));
@@ -1955,7 +1053,7 @@ std::string SimRankServer::BuildStatsBody() const {
   // bucket-resolution quantile estimates.
   json.Key("latency_us").BeginObject();
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
-    const LatencyHistogram::Snapshot snapshot = latency_[i].snapshot();
+    const LatencyHistogram::Snapshot snapshot = frontend_.class_latency(i);
     json.Key(ServerEndpointName(static_cast<ServerEndpoint>(i)))
         .BeginObject();
     json.Key("count").Uint(snapshot.count);
@@ -1977,11 +1075,11 @@ std::string SimRankServer::BuildStatsBody() const {
   json.Key("slow_query_us").Uint(options_.slow_query_us);
   json.Key("traced_requests").Uint(stats.traced_requests);
   json.Key("slow_captured").Uint(stats.slow_captured);
-  json.Key("slow_ring_capacity").Uint(slow_log_.capacity());
+  json.Key("slow_ring_capacity").Uint(frontend_.slow_log().capacity());
   json.Key("stages").BeginObject();
   for (uint32_t i = 0; i < kNumTraceStages; ++i) {
     const LatencyHistogram::Snapshot snapshot =
-        stage_latency_[i].snapshot();
+        frontend_.stage_latency(static_cast<TraceStage>(i));
     if (snapshot.count == 0) continue;  // only stages that actually ran
     json.Key(TraceStageName(static_cast<TraceStage>(i))).BeginObject();
     json.Key("count").Uint(snapshot.count);
@@ -1994,7 +1092,7 @@ std::string SimRankServer::BuildStatsBody() const {
   json.Key("counters").BeginObject();
   for (uint32_t c = 0; c < kNumTraceCounters; ++c) {
     json.Key(TraceCounterName(static_cast<TraceCounter>(c)))
-        .Uint(stage_counters_[c].load(std::memory_order_relaxed));
+        .Uint(frontend_.stage_counter(static_cast<TraceCounter>(c)));
   }
   json.EndObject();
   json.EndObject();
@@ -2139,7 +1237,7 @@ std::string SimRankServer::BuildMetricsBody() const {
   type("simrank_uptime_seconds", "gauge");
   out += StrFormat("simrank_uptime_seconds %g\n", UptimeSeconds());
 
-  const Watchdog::Snapshot dog = watchdog_.snapshot();
+  const Watchdog::Snapshot dog = frontend_.watchdog_snapshot();
   type("simrank_loop_lag_seconds", "gauge");
   out += StrFormat("simrank_loop_lag_seconds %g\n",
                    static_cast<double>(dog.loop_lag_us) / 1e6);
@@ -2156,7 +1254,7 @@ std::string SimRankServer::BuildMetricsBody() const {
   // Dispatch-to-start latency: the queue wait workers actually observed.
   type("simrank_dispatch_latency_seconds", "histogram");
   {
-    const LatencyHistogram::Snapshot snapshot = dispatch_latency_.snapshot();
+    const LatencyHistogram::Snapshot snapshot = frontend_.dispatch_latency();
     uint64_t cumulative = 0;
     for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
       cumulative += snapshot.buckets[b];
@@ -2226,7 +1324,7 @@ std::string SimRankServer::BuildMetricsBody() const {
   type("simrank_request_duration_seconds", "histogram");
   for (uint32_t i = 0; i < kNumServerEndpoints; ++i) {
     const char* name = ServerEndpointName(static_cast<ServerEndpoint>(i));
-    const LatencyHistogram::Snapshot snapshot = latency_[i].snapshot();
+    const LatencyHistogram::Snapshot snapshot = frontend_.class_latency(i);
     uint64_t cumulative = 0;
     for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
       cumulative += snapshot.buckets[b];
@@ -2264,7 +1362,7 @@ std::string SimRankServer::BuildMetricsBody() const {
   for (uint32_t i = 0; i < kNumTraceStages; ++i) {
     const char* name = TraceStageName(static_cast<TraceStage>(i));
     const LatencyHistogram::Snapshot snapshot =
-        stage_latency_[i].snapshot();
+        frontend_.stage_latency(static_cast<TraceStage>(i));
     uint64_t cumulative = 0;
     for (uint32_t b = 0; b < LatencyHistogram::kNumBuckets; ++b) {
       cumulative += snapshot.buckets[b];
@@ -2297,7 +1395,7 @@ std::string SimRankServer::BuildMetricsBody() const {
             StrFormat("{counter=\"%s\"}",
                       TraceCounterName(static_cast<TraceCounter>(c)))
                 .c_str(),
-            stage_counters_[c].load(std::memory_order_relaxed));
+            frontend_.stage_counter(static_cast<TraceCounter>(c)));
   }
 
   if (updater_ != nullptr) {
@@ -2370,106 +1468,6 @@ std::string SimRankServer::BuildMetricsBody() const {
     counter("simrank_wal_syncs_total", "", updates.wal_syncs);
   }
   return out;
-}
-
-namespace {
-
-uint64_t WallClockMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-std::string SimRankServer::BuildSlowBody() const {
-  // Hand-built (not JsonWriter): the captured traces are already
-  // serialized JSON objects and are embedded verbatim.
-  const std::vector<SlowQueryEntry> entries = slow_log_.Snapshot();
-  std::string out = StrFormat(
-      "{\"capacity\":%zu,\"total_recorded\":%llu,\"threshold_us\":%llu,"
-      "\"entries\":[",
-      slow_log_.capacity(),
-      static_cast<unsigned long long>(slow_log_.total_recorded()),
-      static_cast<unsigned long long>(options_.slow_query_us));
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const SlowQueryEntry& entry = entries[i];
-    if (i > 0) out += ',';
-    out += StrFormat(
-        "{\"unix_micros\":%llu,\"duration_us\":%llu,\"trace_id\":\"%s\","
-        "\"target\":\"",
-        static_cast<unsigned long long>(entry.unix_micros),
-        static_cast<unsigned long long>(entry.duration_micros),
-        TraceIdToHex(entry.trace_id).c_str());
-    JsonEscape(entry.target, &out);
-    out += "\",\"trace\":";
-    out += entry.trace_json;
-    out += '}';
-  }
-  out += "]}";
-  return out;
-}
-
-void SimRankServer::FoldTrace(const TraceRecorder& recorder) {
-  for (uint32_t i = 0; i < recorder.num_spans(); ++i) {
-    const TraceSpan& span = recorder.span(i);
-    stage_latency_[static_cast<size_t>(span.stage)].Record(
-        span.duration_ns / 1000);
-  }
-  for (uint32_t c = 0; c < kNumTraceCounters; ++c) {
-    const uint64_t value = recorder.counter(static_cast<TraceCounter>(c));
-    if (value > 0) {
-      stage_counters_[c].fetch_add(value, std::memory_order_relaxed);
-    }
-  }
-}
-
-void SimRankServer::CaptureTrace(const TraceRecorder& recorder,
-                                 std::string_view target,
-                                 uint64_t duration_micros) {
-  SlowQueryEntry entry;
-  entry.unix_micros = WallClockMicros();
-  entry.duration_micros = duration_micros;
-  entry.trace_id = recorder.trace_id();
-  entry.target = std::string(target);
-  entry.trace_json = recorder.ToJson();
-  if (trace_sink_ != nullptr) {
-    std::string line =
-        StrFormat("{\"unix_micros\":%llu,\"target\":\"",
-                  static_cast<unsigned long long>(entry.unix_micros));
-    JsonEscape(target, &line);
-    line += StrFormat(
-        "\",\"duration_us\":%llu,\"trace\":",
-        static_cast<unsigned long long>(duration_micros));
-    line += entry.trace_json;
-    line += '}';
-    trace_sink_->Append(std::move(line));
-  }
-  slow_log_.Record(std::move(entry));
-}
-
-void SimRankServer::LogAccess(const Connection& conn, int status,
-                              size_t body_bytes) {
-  const uint64_t micros =
-      conn.access_start_ns == 0
-          ? 0
-          : (TraceNowNanos() - conn.access_start_ns) / 1000;
-  std::string line = StrFormat("{\"unix_micros\":%llu,\"method\":\"",
-                               static_cast<unsigned long long>(
-                                   WallClockMicros()));
-  JsonEscape(conn.access_method, &line);
-  line += "\",\"path\":\"";
-  JsonEscape(conn.access_path, &line);
-  line += StrFormat("\",\"status\":%d,\"bytes\":%zu,\"micros\":%llu",
-                    status, body_bytes,
-                    static_cast<unsigned long long>(micros));
-  if (conn.access_trace_id != 0) {
-    line += StrFormat(",\"trace_id\":\"%s\"",
-                      TraceIdToHex(conn.access_trace_id).c_str());
-  }
-  line += '}';
-  access_sink_->Append(std::move(line));
 }
 
 }  // namespace simrank

@@ -1,21 +1,7 @@
-// Epoll HTTP serving frontend over a QueryEngine.
-//
-// One event-loop thread owns every socket: nonblocking accept on the
-// listener, buffered reads, request parsing (server/http.h), response
-// flushing, keep-alive and pipelining. Query work never runs on the loop:
-// a validated request is *dispatched* to a worker pool and the connection
-// keeps reading-writing other traffic until the worker's completion is
-// handed back through an eventfd-signalled queue. Cheap introspection
-// endpoints (/healthz, /v1/stats) are answered inline on the loop, so they
-// respond even when every worker is busy — that is what makes the stats
-// endpoint usable as an overload probe.
-//
-// Admission control protects cold rows: a request beyond the global
-// in-flight cap is rejected with 429, one beyond its endpoint's in-flight
-// limit with 503, both carrying Retry-After — the request queue is
-// bounded by construction and the server never buffers work it cannot
-// serve. Rejections are serialized on the loop thread, so they stay fast
-// and allocation-light under fanout.
+// SimRank query server: the route table SimRankServer puts on the shared
+// HttpFrontend (server/frontend.h), which owns the event loop, worker
+// pool, admission control, tracing and the /healthz and /v1/debug/profile
+// and /v1/debug/timeseries endpoints.
 //
 // Endpoints (JSON unless noted):
 //   GET  /v1/pair?a=&b=        s(a, b)
@@ -31,20 +17,12 @@
 //                              counters + per-endpoint latency histograms
 //   GET  /metrics              the same counters in Prometheus text
 //                              exposition (text/plain)
-//   GET  /healthz              liveness probe (text/plain)
+//   GET  /v1/wal?from=         the WAL records from index `from` on, for
+//                              replicas tailing this server (text/plain)
 //   GET  /v1/debug/slow        captured slow/sampled query traces (ring)
-//   GET  /v1/debug/profile     sampling CPU profile: arms SIGPROF timers
-//                              for ?seconds=N (default 2), returns
-//                              flamegraph collapsed-stack text; 409 when
-//                              a session is already running
-//   GET  /v1/debug/timeseries  metrics history ring as JSON
-//                              (?metric=NAME&window=SECONDS; no args
-//                              lists the available families)
-// /healthz, /v1/stats, /metrics, /v1/debug/slow and /v1/debug/timeseries
-// are answered inline; /v1/debug/profile parks the connection and answers
-// from a dedicated capture thread (the loop keeps serving while the
-// profile runs, and profiling a loaded server is the whole point);
-// everything else dispatches to the worker pool under admission control.
+// /v1/stats, /metrics, /v1/wal and /v1/debug/slow are answered inline on
+// the loop thread; the query endpoints dispatch to the worker pool under
+// admission control, each endpoint its own admission class.
 // Update/compact serialize inside the IndexUpdater while reads keep
 // flowing against RCU overlay snapshots — queries are never blocked by an
 // in-flight update, and a query admitted mid-update serves either the
@@ -59,27 +37,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "simrank/cluster/shard_plan.h"
 #include "simrank/common/latency_histogram.h"
 #include "simrank/common/status.h"
-#include "simrank/common/thread_pool.h"
 #include "simrank/extra/topk.h"
 #include "simrank/index/index_updater.h"
 #include "simrank/index/query_engine.h"
-#include "simrank/obs/log_sink.h"
 #include "simrank/obs/metrics_history.h"
-#include "simrank/obs/profiler.h"
 #include "simrank/obs/slow_query_log.h"
 #include "simrank/obs/trace.h"
 #include "simrank/obs/watchdog.h"
+#include "simrank/server/frontend.h"
 #include "simrank/server/http.h"
 
 namespace simrank {
@@ -102,6 +74,14 @@ const char* ServerEndpointPath(ServerEndpoint endpoint);
 /// Short label of `endpoint` ("pair", "batch_pair", ...) — stats JSON keys
 /// and Prometheus label values.
 const char* ServerEndpointName(ServerEndpoint endpoint);
+
+/// The one method `endpoint` accepts: "POST" for the body endpoints
+/// (batch_pair, update, compact), "GET" otherwise.
+const char* ServerEndpointMethod(ServerEndpoint endpoint);
+
+/// One frontend admission class per endpoint, indexed by its enum value;
+/// the server and the router admit their query routes under these.
+std::vector<AdmissionClass> ServerEndpointClasses();
 
 /// Parses a /v1/batch_pair body: one "A B" pair per line, '#' comments and
 /// blank lines ignored. Shared by the server's worker and the router
@@ -248,9 +228,8 @@ struct ServerStats {
   uint64_t inflight = 0;
 };
 
-/// Single-listener epoll server. The engine (and its index) must outlive
-/// the server. Linux-only (epoll/eventfd); Bind returns Unimplemented
-/// elsewhere.
+/// The single-node (or shard) query server. The engine (and its index)
+/// must outlive the server. Linux-only, like the frontend it runs on.
 class SimRankServer {
  public:
   /// `updater` (optional) enables the live-update endpoints; it must
@@ -265,7 +244,7 @@ class SimRankServer {
   Status Bind();
 
   /// The bound port (the kernel's choice when options.port was 0).
-  uint16_t port() const { return bound_port_; }
+  uint16_t port() const { return frontend_.port(); }
 
   /// Runs the event loop on the calling thread until Shutdown(). Returns
   /// OK after a clean drain.
@@ -287,161 +266,60 @@ class SimRankServer {
   /// Latency snapshot of one dispatchable endpoint (dispatch to
   /// completion, including queue wait); safe concurrently with Serve.
   LatencyHistogram::Snapshot latency(ServerEndpoint endpoint) const {
-    return latency_[static_cast<size_t>(endpoint)].snapshot();
+    return frontend_.class_latency(static_cast<uint32_t>(endpoint));
   }
 
   /// Latency snapshot of one trace stage, folded from traced requests
   /// only; safe concurrently with Serve.
   LatencyHistogram::Snapshot stage_latency(TraceStage stage) const {
-    return stage_latency_[static_cast<size_t>(stage)].snapshot();
+    return frontend_.stage_latency(stage);
   }
 
   /// The slow-query ring (always constructed; empty when nothing was
   /// captured).
-  const SlowQueryLog& slow_log() const { return slow_log_; }
+  const SlowQueryLog& slow_log() const { return frontend_.slow_log(); }
 
   /// Watchdog view: epoll-loop heartbeat lag, worker queue depth, stall
   /// count; safe concurrently with Serve.
   Watchdog::Snapshot watchdog_snapshot() const {
-    return watchdog_.snapshot();
+    return frontend_.watchdog_snapshot();
   }
 
   /// Dispatch-to-start latency (queue wait before a worker picks a query
   /// up); safe concurrently with Serve.
   LatencyHistogram::Snapshot dispatch_latency() const {
-    return dispatch_latency_.snapshot();
+    return frontend_.dispatch_latency();
   }
 
   /// The metrics history ring; null when disabled.
   const MetricsHistory* metrics_history() const {
-    return metrics_history_.get();
+    return frontend_.metrics_history();
   }
 
  private:
-  struct Connection;
-  struct Completion;
-
-  // Event-loop steps (loop thread only).
-  void HandleAccept();
-  void HandleReadable(Connection* conn);
-  void HandleWritable(Connection* conn);
-  void ProcessBufferedRequests(Connection* conn);
-  bool MaybeCloseAfterEof(Connection* conn);
-  void RouteRequest(Connection* conn, const HttpRequest& request);
-  void DispatchQuery(Connection* conn, ServerEndpoint endpoint,
-                     const HttpRequest& request);
-  /// Parks the connection and runs the profile session on a dedicated
-  /// thread; the result comes back through the completion queue.
-  void HandleProfileRequest(Connection* conn, const HttpRequest& request);
-  /// Starts/stops the watchdog, metrics sampler, profile logger and any
-  /// in-flight profile capture threads (Serve entry/exit + destructor).
-  void StartDiagnostics();
-  void StopDiagnostics();
-  void DrainCompletions();
-  void QueueResponse(Connection* conn, int status, std::string_view body,
-                     const std::vector<std::pair<std::string, std::string>>&
-                         extra_headers = {},
-                     std::string_view content_type = "application/json");
-  void QueueErrorResponse(Connection* conn, int status,
-                          std::string_view message);
-  void UpdateEpoll(Connection* conn);
-  void CloseConnection(Connection* conn);
+  /// Loop-thread step of a dispatched query (public endpoint or, by path,
+  /// an /internal/* exchange in the admission class `endpoint`): role
+  /// checks and parameter parsing, then the work a worker runs.
+  FrontendWork Prepare(ServerEndpoint endpoint, const HttpRequest& request,
+                       FrontendResponse* reject);
   std::string BuildStatsBody() const;
   std::string BuildMetricsBody() const;
-  std::string BuildSlowBody() const;
-  void CountResponse(int status);
-  /// Folds a finished trace into the per-stage histograms and counter
-  /// totals (any thread).
-  void FoldTrace(const TraceRecorder& recorder);
-  /// Captures a finished trace into the slow ring and trace log
-  /// (any thread).
-  void CaptureTrace(const TraceRecorder& recorder, std::string_view target,
-                    uint64_t duration_micros);
-  /// Emits one access-log JSONL line (loop thread; no-op without a sink).
-  void LogAccess(const Connection& conn, int status, size_t body_bytes);
 
   QueryEngine& engine_;
   ServerOptions options_;
   /// Optional live-update hook; null disables /v1/update and /v1/compact.
   IndexUpdater* updater_ = nullptr;
 
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  /// Sacrificial fd closed to accept-then-shed under EMFILE/ENFILE (the
-  /// level-triggered listener would otherwise busy-spin the loop).
-  int reserve_fd_ = -1;
-  uint16_t bound_port_ = 0;
-  std::atomic<bool> stop_{false};
-  bool draining_ = false;
-
-  /// Live connections by fd; ids disambiguate completions across fd reuse.
-  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
-  uint64_t next_connection_id_ = 1;
-
-  /// Loop-thread view of admission state.
-  uint32_t inflight_ = 0;
-  uint32_t endpoint_inflight_[kNumServerEndpoints] = {};
-
-  /// Worker -> loop handoff.
-  std::mutex completions_mutex_;
-  std::deque<Completion> completions_;
-
   /// Counters (relaxed atomics: read by stats() from other threads).
-  mutable std::atomic<uint64_t> stat_requests_[kNumServerEndpoints] = {};
-  mutable std::atomic<uint64_t> stat_requests_stats_{0};
-  mutable std::atomic<uint64_t> stat_requests_healthz_{0};
-  mutable std::atomic<uint64_t> stat_requests_metrics_{0};
-  mutable std::atomic<uint64_t> stat_requests_wal_{0};
-  mutable std::atomic<uint64_t> stat_requests_debug_slow_{0};
-  mutable std::atomic<uint64_t> stat_requests_debug_profile_{0};
-  mutable std::atomic<uint64_t> stat_requests_debug_timeseries_{0};
-  mutable std::atomic<uint64_t> stat_traced_requests_{0};
-  mutable std::atomic<uint64_t> stat_responses_2xx_{0};
-  mutable std::atomic<uint64_t> stat_responses_4xx_{0};
-  mutable std::atomic<uint64_t> stat_responses_5xx_{0};
-  mutable std::atomic<uint64_t> stat_rejected_inflight_{0};
-  mutable std::atomic<uint64_t> stat_rejected_endpoint_{0};
-  mutable std::atomic<uint64_t> stat_rejected_misdirected_{0};
-  mutable std::atomic<uint64_t> stat_connections_accepted_{0};
-  mutable std::atomic<uint64_t> stat_connections_open_{0};
-  mutable std::atomic<uint64_t> stat_inflight_{0};
+  std::atomic<uint64_t> stat_requests_[kNumServerEndpoints] = {};
+  std::atomic<uint64_t> stat_requests_stats_{0};
+  std::atomic<uint64_t> stat_requests_metrics_{0};
+  std::atomic<uint64_t> stat_requests_wal_{0};
+  std::atomic<uint64_t> stat_requests_debug_slow_{0};
 
-  /// Dispatch-to-completion latency per dispatchable endpoint (lock-free;
-  /// workers record, stats/metrics snapshot).
-  LatencyHistogram latency_[kNumServerEndpoints];
-
-  /// Per-stage latency and stage-counter totals, folded from traced
-  /// requests only (untraced requests never touch these).
-  LatencyHistogram stage_latency_[kNumTraceStages];
-  mutable std::atomic<uint64_t> stage_counters_[kNumTraceCounters] = {};
-
-  /// Captured slow/sampled traces (GET /v1/debug/slow).
-  SlowQueryLog slow_log_;
-  /// Optional JSONL sinks (--trace-log / --access-log); opened in Bind().
-  std::unique_ptr<JsonlLogSink> trace_sink_;
-  std::unique_ptr<JsonlLogSink> access_sink_;
-  /// xorshift state for --trace-sample coin flips (loop thread only).
-  uint64_t sample_state_ = 0;
-
-  /// Self-diagnosis (obs/): loop/worker watchdog, metrics history ring +
-  /// its 1 Hz sampler, continuous profile logger, on-demand profile
-  /// capture threads. All stopped by StopDiagnostics() *before* pool_ is
-  /// destroyed — the watchdog and sampler read pool_.queue_depth().
-  Watchdog watchdog_;
-  std::unique_ptr<MetricsHistory> metrics_history_;
-  std::unique_ptr<MetricsSampler> metrics_sampler_;
-  std::unique_ptr<ProfileLogger> profile_logger_;
-  /// Dispatch-to-start queue-wait latency (workers record).
-  LatencyHistogram dispatch_latency_;
-  /// Serializes /v1/debug/profile sessions (second request gets 409).
-  std::atomic<bool> profile_busy_{false};
-  std::mutex profile_threads_mutex_;
-  std::vector<std::thread> profile_threads_;
-
-  /// Declared last so its destructor joins workers before fds close —
-  /// workers may still be appending to the sinks above.
-  ThreadPool pool_;
+  /// Declared last: its destructor joins the workers and diagnostics
+  /// threads, which run this server's handlers and metrics builder.
+  HttpFrontend frontend_;
 };
 
 }  // namespace simrank

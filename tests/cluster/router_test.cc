@@ -8,6 +8,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -511,6 +513,56 @@ TEST(RouterTest, StatsAndMetricsDescribeTheCluster) {
             std::string::npos);
 }
 
+/// Lines of /proc/self/maps: one per mapping, so every thread stack the
+/// process still holds (plus its guard page) shows up here.
+size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+/// Live threads of this process.
+size_t CountTasks() {
+  size_t tasks = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++tasks;
+  }
+  return tasks;
+}
+
+TEST(RouterTest, ConnectionChurnHoldsNoPerConnectionResources) {
+  ClusterFixture cluster(testing::RandomGraph(40, 160, 3));
+  // One connection per request, each closed by the router after its
+  // answer: a long-running router sees this from every client that does
+  // not keep its connections alive. Nothing may stay behind per
+  // connection (a thread, its stack, its guard page).
+  auto churn = [&cluster](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      auto client = LoopbackHttpClient::Connect(cluster.router_port());
+      ASSERT_TRUE(client.ok()) << "connection " << i;
+      ASSERT_TRUE(client
+                      ->SendRaw("GET /healthz HTTP/1.1\r\n"
+                                "Connection: close\r\n\r\n")
+                      .ok());
+      auto response = client->ReadResponse();
+      ASSERT_TRUE(response.ok()) << "connection " << i;
+      ASSERT_EQ(response->status, 200) << "connection " << i;
+    }
+  };
+  churn(64);  // first-use allocations (arenas, pools) settle here
+  const size_t maps_before = CountMappings();
+  const size_t tasks_before = CountTasks();
+  churn(4000);
+  const size_t maps_after = CountMappings();
+  const size_t tasks_after = CountTasks();
+  EXPECT_LT(maps_after, maps_before + 64)
+      << maps_before << " -> " << maps_after << " mappings";
+  EXPECT_LT(tasks_after, tasks_before + 16)
+      << tasks_before << " -> " << tasks_after << " threads";
+}
+
 TEST(RouterTest, ThreeShardClusterStaysBitwise) {
   ClusterFixture cluster(testing::OverlappyGraph(45, 3, 13),
                          /*num_shards=*/3);
@@ -566,7 +618,7 @@ TEST(RouterTraceTest, RoutedTraceMergesShardSubTraces) {
   ASSERT_NE(body.find(",\"trace\":{\"trace_id\":\""), std::string::npos);
 
   // Router-side stages: the row fetch from v's owner, one exchange span
-  // per shard (timed on the fan-out threads), and the merge.
+  // per shard (timed from its send to its reply), and the merge.
   EXPECT_NE(body.find("\"stage\":\"row_fetch\""), std::string::npos);
   EXPECT_NE(body.find("\"stage\":\"merge\""), std::string::npos);
   size_t cursor = body.find("\"stage\":\"request\"");

@@ -139,6 +139,28 @@ TEST(GraphIoTest, GraphFingerprintIsStructural) {
   EXPECT_EQ(GraphFingerprint(*loaded), GraphFingerprint(graph));
 }
 
+TEST(GraphIoTest, FingerprintRoundTripsAndParsesStrictly) {
+  for (const uint64_t fingerprint :
+       {uint64_t{0}, uint64_t{1}, uint64_t{0x0123456789abcdef},
+        ~uint64_t{0}, GraphFingerprint(testing::PaperExampleGraph())}) {
+    const std::string text = FormatFingerprint(fingerprint);
+    ASSERT_EQ(text.size(), 16u);
+    uint64_t parsed = 0;
+    ASSERT_TRUE(ParseFingerprint(text, &parsed)) << text;
+    EXPECT_EQ(parsed, fingerprint);
+  }
+  // strtoull would accept all of these; a fingerprint must not.
+  for (const char* bad :
+       {"-1", "+1", " 1", "0x1", "-000000000000001", "+000000000000001",
+        " 000000000000001", "0x00000000000001", "000000000000001",
+        "00000000000000001", "000000000000000A", "ABCDEF0123456789", "",
+        "000000000000000g", "00000000 0000001"}) {
+    uint64_t parsed = 42;
+    EXPECT_FALSE(ParseFingerprint(bad, &parsed)) << "'" << bad << "'";
+    EXPECT_EQ(parsed, 42u) << "failure must leave the output untouched";
+  }
+}
+
 TEST(GraphIoTest, BinaryRejectsCorruptHeader) {
   const std::string path = ::testing::TempDir() + "/oipsim_bad.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");

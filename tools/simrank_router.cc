@@ -14,17 +14,19 @@
 // one range of the plan via simrank_server --shard-plan/--shard-id).
 // Reads fail over to a shard's replica when the primary is unreachable;
 // updates are broadcast to every primary with per-shard WAL durability
-// before the router acks. See src/simrank/cluster/router.h for the
-// merge-exactness and consistency story.
+// before the router acks. Clients are served by the same epoll frontend
+// as simrank_server — one loop thread, a fixed worker pool that blocks on
+// shard I/O, and admission caps answering 429/503 beyond them — so no
+// connection or request costs the router a thread. See
+// src/simrank/cluster/router.h for the merge-exactness and consistency
+// story. Linux-only.
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "simrank/cluster/router.h"
 #include "simrank/cluster/shard_plan.h"
@@ -87,7 +89,7 @@ bool ParseShardSpec(std::string_view spec, simrank::RouterShard* out) {
 simrank::SimRankRouter* g_router = nullptr;
 
 void HandleSignal(int) {
-  // RequestStop is async-signal-safe (atomic store + shutdown(2)); the
+  // RequestStop is async-signal-safe (atomic store + eventfd write); the
   // main thread's pause() returns and runs the full join.
   if (g_router != nullptr) g_router->RequestStop();
 }
@@ -219,8 +221,8 @@ int RealMain(int argc, char** argv) {
       router.options().plan.n, router.options().plan.shards.size(),
       router.options().bind_address.c_str(), router.port());
 
-  // The accept loop runs on its own thread; park this one until a signal
-  // requests a stop, then join everything.
+  // The event loop runs on its own thread; park this one until a signal
+  // requests a stop, then drain and join everything.
   ::pause();
   router.Shutdown();
   g_router = nullptr;
