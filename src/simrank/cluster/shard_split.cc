@@ -1,9 +1,9 @@
 #include "simrank/cluster/shard_split.h"
 
-#include <utility>
 #include <vector>
 
 #include "simrank/common/string_util.h"
+#include "simrank/index/delta_overlay.h"
 
 namespace simrank {
 
@@ -19,30 +19,22 @@ Status WriteShardIndex(const WalkStore& store, const ShardRange& range,
         range.begin, range.end, n));
   }
 
-  // Flat (r, t)-major table of the shard: in-range vertices scatter their
-  // decoded rows, everything else gets the dead-from-step-1 row that a
-  // from-scratch build produces for a vertex with no in-neighbours.
-  const size_t words = store.WalkWords();
-  std::vector<uint32_t> walks(words * n, WalkStore::kDeadWalk);
+  // Flat walk table of the shard: in-range vertices get their decoded
+  // rows, everything else the dead-from-step-1 row that a from-scratch
+  // build produces for a vertex with no in-neighbours.
+  std::vector<uint32_t> walks(store.WalkWords() * n, WalkStore::kDeadWalk);
   for (uint32_t r = 0; r < R; ++r) {
     const size_t step0 = static_cast<size_t>(r) * (L + 1) * n;
     for (VertexId v = 0; v < n; ++v) walks[step0 + v] = v;
   }
-  std::vector<uint32_t> row(words);
-  for (VertexId v = range.begin; v < range.end; ++v) {
-    OIPSIM_RETURN_IF_ERROR(store.DecodeVertex(v, row.data()));
-    for (size_t word = 0; word < words; ++word) {
-      walks[word * n + v] = row[word];
-    }
-  }
+  OIPSIM_RETURN_IF_ERROR(MaterializeWalkTable(
+      store, /*overlay=*/nullptr, range.begin, range.end, walks.data()));
 
   // Same meta (global n, global graph fingerprint): the shard stays
   // recognizably part of the one served graph, and the full index's WAL
   // identity binds to it unchanged.
-  InMemoryWalkStore shard(meta, std::move(walks), /*num_threads=*/1);
-  WalkStoreSaveOptions save;
-  save.compress = compress;
-  return SaveWalkStore(shard, out_path, save);
+  return SaveWalkStore(*WalkStore::Encode(meta, walks, compress), out_path,
+                       compress);
 }
 
 }  // namespace simrank

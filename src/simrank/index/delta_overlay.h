@@ -132,12 +132,6 @@ class DeltaOverlay {
     return rebased_store_;
   }
 
-  /// The patched vertices and how many of their walks are patched;
-  /// iteration support for Compact() and the scan estimator.
-  const std::unordered_map<VertexId, uint32_t>& patched_vertices() const {
-    return patch_counts_;
-  }
-
  private:
   friend class IndexUpdater;
 
@@ -167,8 +161,8 @@ class DeltaOverlay {
 
 /// Decodes vertex `v`'s full walk table (WalkWords layout) under
 /// base+overlay: the base segment with every patched suffix overwritten.
-/// The slow-but-simple row accessor shared by Compact(), the scan
-/// estimator and tests; hot read paths consult patches per step instead.
+/// The one row accessor every estimator, Compact() and the tests read
+/// walks through.
 inline Status MaterializeRow(const WalkStore& store,
                              const DeltaOverlay* overlay, VertexId v,
                              uint32_t* out) {
@@ -183,6 +177,27 @@ inline Status MaterializeRow(const WalkStore& store,
         L, patch->t0 + static_cast<uint32_t>(patch->suffix.size()) - 1);
     for (uint32_t t = patch->t0; t <= end; ++t) {
       out[r * row + t] = patch->Position(t);
+    }
+  }
+  return Status::OK();
+}
+
+/// Materializes rows [begin, end) under base+overlay into the flat walk
+/// table `walks`: n·WalkWords() words, the position after t steps of
+/// fingerprint r's walk from v at walks[(r·(L+1) + t)·n + v] — what
+/// WalkStore::Encode consumes and WalkIndex::EstimateSingleSourceScan
+/// scans. Columns outside the range are left as they are, so disjoint
+/// ranges may be filled concurrently.
+inline Status MaterializeWalkTable(const WalkStore& store,
+                                   const DeltaOverlay* overlay,
+                                   VertexId begin, VertexId end,
+                                   uint32_t* walks) {
+  const size_t n = store.meta().n;
+  std::vector<uint32_t> row(store.WalkWords());
+  for (VertexId v = begin; v < end; ++v) {
+    OIPSIM_RETURN_IF_ERROR(MaterializeRow(store, overlay, v, row.data()));
+    for (size_t word = 0; word < row.size(); ++word) {
+      walks[word * n + v] = row[word];
     }
   }
   return Status::OK();

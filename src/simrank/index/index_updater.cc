@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "simrank/common/coupled_hash.h"
+#include "simrank/common/file_util.h"
 #include "simrank/common/string_util.h"
 #include "simrank/graph/graph_io.h"
 
@@ -16,18 +17,16 @@ namespace {
 
 constexpr uint32_t kDead = WalkStore::kDeadWalk;
 
-/// Base-store position reads for the patch path: O(1) against a resident
-/// flat table, otherwise one cached segment decode per touched vertex.
-/// Not shared across threads — each re-simulation worker owns one.
+/// Base-store position reads for the patch path: one cached segment
+/// decode per touched vertex. Not shared across threads — each
+/// re-simulation worker owns one.
 class BaseRowReader {
  public:
   explicit BaseRowReader(const WalkStore& store)
       : store_(store),
-        flat_(store.FlatWalks()),
         row_(static_cast<size_t>(store.meta().walk_length) + 1) {}
 
   uint32_t Pos(VertexId v, uint32_t r, uint32_t t) {
-    if (flat_ != nullptr) return flat_[store_.FlatSlot(r, t) + v];
     std::vector<uint32_t>& row = cache_[v];
     if (row.empty()) {
       row.resize(store_.WalkWords());
@@ -41,7 +40,6 @@ class BaseRowReader {
 
  private:
   const WalkStore& store_;
-  const uint32_t* flat_;
   size_t row_;
   std::unordered_map<VertexId, std::vector<uint32_t>> cache_;
 };
@@ -934,13 +932,12 @@ Status IndexUpdater::CompactInternal(const std::string& path,
   // Phase 2 — no update lock held: updates and queries proceed against
   // the live overlay while the merged store is built. Materialize base +
   // overlay as a flat walk table, exactly what Build() would have
-  // produced on the updated graph, and save it through the same writer —
-  // byte identity follows. Vertex ranges are disjoint, so the
+  // produced on the updated graph, and encode it through the same encoder
+  // — byte identity follows. Vertex ranges are disjoint, so the
   // materialization fans out; the result is position-for-position
   // identical for any thread count.
   const uint32_t n = meta.n;
-  const size_t words = base.WalkWords();
-  std::vector<uint32_t> walks(words * n);
+  std::vector<uint32_t> walks(base.WalkWords() * n);
   {
     const size_t blocks =
         pool_ != nullptr && n >= 2
@@ -948,20 +945,9 @@ Status IndexUpdater::CompactInternal(const std::string& path,
             : 1;
     std::vector<Status> block_status(blocks, Status::OK());
     auto materialize_block = [&](size_t b) {
-      const VertexId v0 = static_cast<VertexId>(n * b / blocks);
-      const VertexId v1 = static_cast<VertexId>(n * (b + 1) / blocks);
-      std::vector<uint32_t> scratch(words);
-      for (VertexId v = v0; v < v1; ++v) {
-        const Status status =
-            MaterializeRow(base, snap.get(), v, scratch.data());
-        if (!status.ok()) {
-          block_status[b] = status;
-          return;
-        }
-        for (size_t word = 0; word < words; ++word) {
-          walks[word * n + v] = scratch[word];
-        }
-      }
+      block_status[b] = MaterializeWalkTable(
+          base, snap.get(), static_cast<VertexId>(n * b / blocks),
+          static_cast<VertexId>(n * (b + 1) / blocks), walks.data());
     };
     if (blocks > 1) {
       pool_->ParallelFor(0, blocks,
@@ -973,49 +959,40 @@ Status IndexUpdater::CompactInternal(const std::string& path,
       OIPSIM_RETURN_IF_ERROR(status);
     }
   }
-  auto merged = std::make_shared<InMemoryWalkStore>(meta, std::move(walks),
-                                                    num_threads_);
+  std::shared_ptr<const WalkStore> merged =
+      WalkStore::Encode(meta, walks, save.compress, num_threads_);
+  std::vector<uint32_t>().swap(walks);
 
-  WalkStoreSaveOptions store_save;
-  store_save.compress = save.compress;
-  const std::string tmp = path + ".tmp";
-  OIPSIM_RETURN_IF_ERROR(SaveWalkStore(*merged, tmp, store_save));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError(
-        StrFormat("cannot move compacted index into place: %s -> %s",
-                  tmp.c_str(), path.c_str()));
-  }
-
+  // Index and graph each replace their file atomically — synced before
+  // the rename and the directory after it when the WAL is synced — so
+  // both are durable before the WAL reset below forgets how to re-derive
+  // them, and a mapped reader of the old index keeps its bytes.
+  OIPSIM_RETURN_IF_ERROR(ReplaceFile(
+      path, options_.sync_wal, [&merged](const std::string& tmp) {
+        return WriteFile(tmp, merged->image());
+      }));
   if (!graph_path.empty()) {
-    // The updated graph must be durable before the WAL forgets how to
-    // re-derive it.
     DiGraph::Builder builder(n_);
     for (VertexId v = 0; v < n_; ++v) {
       for (const VertexId dst : out_copy[v]) builder.AddEdge(v, dst);
     }
     const DiGraph graph = std::move(builder).Build();
-    const std::string graph_tmp = graph_path + ".tmp";
-    OIPSIM_RETURN_IF_ERROR(WriteBinary(graph, graph_tmp));
-    if (std::rename(graph_tmp.c_str(), graph_path.c_str()) != 0) {
-      std::remove(graph_tmp.c_str());
-      return Status::IoError(
-          StrFormat("cannot move compacted graph into place: %s -> %s",
-                    graph_tmp.c_str(), graph_path.c_str()));
-    }
+    OIPSIM_RETURN_IF_ERROR(ReplaceFile(
+        graph_path, options_.sync_wal,
+        [&graph](const std::string& tmp) { return WriteBinary(graph, tmp); }));
   }
 
-  // The store serving swaps onto. A paged deployment re-opens the
-  // compacted file through the paged backend, so a compaction does not
-  // silently convert it into a fully resident one; the rename above left
-  // the old mapping's inode intact for readers still on old snapshots.
+  // The store serving swaps onto. A mapped deployment maps the compacted
+  // file, so a compaction does not silently read it into RAM; the rename
+  // above left the old mapping's inode intact for readers still on old
+  // snapshots.
   std::shared_ptr<const WalkStore> serving = merged;
-  if (index_.store().FlatWalks() == nullptr) {
-    auto reopened = MmapWalkStore::Open(path);
-    if (reopened.ok()) {
-      serving = std::shared_ptr<const WalkStore>(std::move(*reopened));
+  if (index_.store().mapped()) {
+    auto remapped = WalkStore::Map(path);
+    if (remapped.ok()) {
+      serving = std::shared_ptr<const WalkStore>(std::move(*remapped));
     }
-    // On reopen failure keep the in-memory merged store: correctness is
+    // On failure keep serving the encoded image: correctness is
     // unaffected, only residency.
   }
 

@@ -100,18 +100,16 @@ std::vector<Result<double>> QueryEngine::BatchPair(
   // One snapshot for the whole batch: every answer reflects the same
   // index version even if an update lands mid-fanout.
   const auto overlay = index_.overlay_snapshot();
-  // Paged backend: one batched readahead of every queried segment before
+  // Mapped store: one batched readahead of every queried segment before
   // the fan-out, instead of each worker faulting its pages one at a time.
   // A hint — answers are identical with or without it.
-  if (index_.store().FlatWalks() == nullptr) {
-    std::vector<VertexId> vertices;
-    vertices.reserve(queries.size() * 2);
-    for (const auto& [a, b] : queries) {
-      vertices.push_back(a);
-      vertices.push_back(b);
-    }
-    index_.store().Prefetch(vertices);
+  std::vector<VertexId> vertices;
+  vertices.reserve(queries.size() * 2);
+  for (const auto& [a, b] : queries) {
+    vertices.push_back(a);
+    vertices.push_back(b);
   }
+  index_.store().Prefetch(vertices);
   std::vector<Result<double>> answers(queries.size(),
                                       Result<double>(0.0));
   pool_.ParallelFor(0, queries.size(), [&](uint64_t i) {
@@ -124,9 +122,7 @@ std::vector<Result<double>> QueryEngine::BatchPair(
 std::vector<Result<std::vector<ScoredVertex>>> QueryEngine::BatchTopK(
     const std::vector<VertexId>& queries, uint32_t k) {
   const auto overlay = index_.overlay_snapshot();
-  if (index_.store().FlatWalks() == nullptr) {
-    index_.store().Prefetch(queries);
-  }
+  index_.store().Prefetch(queries);
   std::vector<Result<std::vector<ScoredVertex>>> answers(
       queries.size(),
       Result<std::vector<ScoredVertex>>(std::vector<ScoredVertex>{}));

@@ -120,29 +120,22 @@ Result<WalkIndex> WalkIndex::Build(const DiGraph& graph,
   meta.damping = options.damping;
   meta.seed = options.seed;
   meta.graph_fingerprint = GraphFingerprint(graph);
-  WalkIndex index = FromStore(std::make_unique<InMemoryWalkStore>(
-      meta, std::move(walks), options.num_threads));
+  WalkIndex index = FromStore(WalkStore::Encode(
+      meta, walks, /*compress=*/false, options.num_threads));
   index.options_.num_threads = options.num_threads;
   return index;
 }
 
 Result<WalkIndex> WalkIndex::Load(const std::string& path,
                                   const LoadOptions& load) {
-  if (load.use_mmap) {
-    auto store = MmapWalkStore::Open(path);
-    if (!store.ok()) return store.status();
-    return FromStore(std::move(*store));
-  }
-  auto store = InMemoryWalkStore::Open(path, load.num_threads);
+  auto store = load.use_mmap ? WalkStore::Map(path) : WalkStore::Load(path);
   if (!store.ok()) return store.status();
   return FromStore(std::move(*store));
 }
 
 Status WalkIndex::Save(const std::string& path,
                        const SaveOptions& save) const {
-  WalkStoreSaveOptions store_options;
-  store_options.compress = save.compress;
-  return SaveWalkStore(*store_, path, store_options);
+  return SaveWalkStore(*store_, path, save.compress);
 }
 
 void WalkIndex::PrecomputeDampingPowers() {
@@ -154,21 +147,21 @@ void WalkIndex::PrecomputeDampingPowers() {
 
 namespace {
 
-/// Decodes vertex `v`'s base-store row into `scratch`, returning the
-/// pointer; corruption while serving is fatal (checked).
-const uint32_t* DecodeBaseRow(const WalkStore& store, VertexId v,
-                              std::vector<uint32_t>* scratch) {
+/// Vertex `v`'s walk row under base+overlay (MaterializeRow layout) —
+/// the one way every estimator reads walks; corruption while serving is
+/// fatal (checked).
+std::vector<uint32_t> ServingRow(const WalkStore& store,
+                                 const DeltaOverlay* overlay, VertexId v) {
   TraceScope scope(TraceStage::kDecode);
-  scratch->resize(store.WalkWords());
-  const Status status = store.DecodeVertex(v, scratch->data());
+  std::vector<uint32_t> row(store.WalkWords());
+  const Status status = MaterializeRow(store, overlay, v, row.data());
   OIPSIM_CHECK_MSG(status.ok(), "corrupt walk segment while serving: %s",
                    status.ToString().c_str());
   if (TraceRecorder* recorder = CurrentTraceRecorder()) {
     recorder->Add(TraceCounter::kRowsDecoded, 1);
-    recorder->Add(TraceCounter::kBytesRead,
-                  scratch->size() * sizeof(uint32_t));
+    recorder->Add(TraceCounter::kBytesRead, row.size() * sizeof(uint32_t));
   }
-  return scratch->data();
+  return row;
 }
 
 /// First-meeting accumulation over one bucket under base+overlay. The
@@ -238,172 +231,40 @@ void AccumulateBucketVertices(const WalkStore& store,
 
 double WalkIndex::EstimatePair(VertexId a, VertexId b,
                                const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
-  OIPSIM_CHECK(a < n && b < n);
+  OIPSIM_CHECK(a < n() && b < n());
   if (a == b) return 1.0;
-  const uint32_t R = options_.num_fingerprints;
-  const uint32_t L = options_.walk_length;
-  const bool pa_patched = overlay != nullptr && overlay->IsPatched(a);
-  const bool pb_patched = overlay != nullptr && overlay->IsPatched(b);
-  double sum = 0.0;
-  const uint32_t* walks = store.FlatWalks();
-  if (walks != nullptr && !pa_patched && !pb_patched) {
-    // Resident flat table: direct (r,t)-major indexing, v1's hot path.
-    for (uint32_t r = 0; r < R; ++r) {
-      for (uint32_t t = 1; t <= L; ++t) {
-        const size_t slot = store.FlatSlot(r, t);
-        const uint32_t pa = walks[slot + a];
-        const uint32_t pb = walks[slot + b];
-        if (pa == kDeadWalk || pb == kDeadWalk) break;  // a walk died
-        if (pa == pb) {
-          sum += damping_powers_[t];
-          break;  // first meeting only
-        }
-      }
-    }
-  } else {
-    // Paged backend or a patched endpoint: base positions from the flat
-    // table (or one contiguous segment decode per endpoint), patched
-    // suffixes overriding per (fingerprint, step) — then the identical
-    // comparison over identical positions, so results stay bitwise equal
-    // to a rebuilt index's.
-    const size_t row = static_cast<size_t>(L) + 1;
-    std::vector<uint32_t> scratch_a;
-    std::vector<uint32_t> scratch_b;
-    const uint32_t* wa =
-        walks != nullptr ? nullptr : DecodeBaseRow(store, a, &scratch_a);
-    const uint32_t* wb =
-        walks != nullptr ? nullptr : DecodeBaseRow(store, b, &scratch_b);
-    for (uint32_t r = 0; r < R; ++r) {
-      const DeltaOverlay::WalkPatch* qa =
-          pa_patched ? overlay->FindPatch(a, r) : nullptr;
-      const DeltaOverlay::WalkPatch* qb =
-          pb_patched ? overlay->FindPatch(b, r) : nullptr;
-      for (uint32_t t = 1; t <= L; ++t) {
-        const uint32_t pa =
-            qa != nullptr && qa->Covers(t)
-                ? qa->Position(t)
-                : (walks != nullptr ? walks[store.FlatSlot(r, t) + a]
-                                    : wa[r * row + t]);
-        const uint32_t pb =
-            qb != nullptr && qb->Covers(t)
-                ? qb->Position(t)
-                : (walks != nullptr ? walks[store.FlatSlot(r, t) + b]
-                                    : wb[r * row + t]);
-        if (pa == kDeadWalk || pb == kDeadWalk) break;
-        if (pa == pb) {
-          sum += damping_powers_[t];
-          break;
-        }
-      }
-    }
-  }
-  return sum / static_cast<double>(options_.num_fingerprints);
+  return EstimatePairWithRow(ServingRow(ServingStore(overlay), overlay, a),
+                             b, overlay);
 }
 
 std::vector<double> WalkIndex::EstimateSingleSource(
     VertexId v, const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
-  OIPSIM_CHECK(v < n);
-  const uint32_t R = options_.num_fingerprints;
-  const uint32_t L = options_.walk_length;
-  const size_t row = static_cast<size_t>(L) + 1;
-
-  // The query vertex's own walks: direct reads from a resident table (or
-  // one contiguous segment decode), with its patched suffixes overriding
-  // per (fingerprint, step).
-  const bool v_patched = overlay != nullptr && overlay->IsPatched(v);
-  const uint32_t* flat = store.FlatWalks();
-  std::vector<uint32_t> decoded;
-  const uint32_t* base_row =
-      flat != nullptr ? nullptr : DecodeBaseRow(store, v, &decoded);
-  // Paged backend: the R·L bucket lookups below touch pages scattered
-  // across the whole inverted region — start the readahead (a one-time
-  // batched submission) before the first lookup faults.
-  if (flat == nullptr) {
-    TraceScope prefetch_scope(TraceStage::kColdRead);
-    store.PrefetchSlots();
-  }
-
-  std::vector<double> result(n, 0.0);
-  // met_round[b] == r+1 marks that b's walk already met v's walk within
-  // fingerprint r (first-meeting semantics) — an epoch stamp, so the array
-  // is never re-cleared.
-  std::vector<uint32_t> met_round(n, 0);
-  std::vector<uint32_t> merged_scratch;
-  TraceScope probe_scope(TraceStage::kIndexProbe);
-  for (uint32_t r = 0; r < R; ++r) {
-    const uint32_t round = r + 1;
-    met_round[v] = round;
-    const DeltaOverlay::WalkPatch* patch =
-        v_patched ? overlay->FindPatch(v, r) : nullptr;
-    for (uint32_t t = 1; t <= L; ++t) {
-      const uint32_t pv =
-          patch != nullptr && patch->Covers(t)
-              ? patch->Position(t)
-              : (flat != nullptr ? flat[store.FlatSlot(r, t) + v]
-                                 : base_row[r * row + t]);
-      if (pv == kDeadWalk) break;  // v's walk died: no further meetings
-      const double weight = damping_powers_[t];
-      // Only the vertices actually parked at pv in this slot — the
-      // output-sensitive core. Buckets (merged with the overlay's slot
-      // diff when one is active) are ascending by vertex id, the same
-      // per-b accumulation order as the scan, so each result entry is the
-      // identical left-to-right sum. Every id is bounds-checked before
-      // use (corruption can break the ascending invariant too, so
-      // checking only the last element would not do): an out-of-range id
-      // is payload corruption the (deliberately payload-blind) mmap open
-      // could not have seen, and it must not become an out-of-bounds
-      // write — AccumulateBucketVertices guards before any vector fast
-      // path and falls back to the checked scalar walk.
-      AccumulateBucketVertices(store, overlay, r, t, pv, round, weight, n,
-                               &merged_scratch, &met_round, &result);
-    }
-  }
-  // Divide (not multiply by a reciprocal) so every entry is bit-identical
-  // to the corresponding EstimatePair result for any fingerprint count.
-  const double fingerprints =
-      static_cast<double>(options_.num_fingerprints);
-  for (double& score : result) score /= fingerprints;
-  result[v] = 1.0;
-  return result;
+  OIPSIM_CHECK(v < n());
+  return EstimateSingleSourceWithRow(
+      v, ServingRow(ServingStore(overlay), overlay, v), overlay);
 }
 
 double WalkIndex::EstimatePairWithRow(std::span<const uint32_t> row_a,
                                       VertexId b,
                                       const DeltaOverlay* overlay) const {
   const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
-  OIPSIM_CHECK(b < n);
+  OIPSIM_CHECK(b < store.meta().n);
   const uint32_t R = options_.num_fingerprints;
   const uint32_t L = options_.walk_length;
   const size_t row = static_cast<size_t>(L) + 1;
   OIPSIM_CHECK(row_a.size() == static_cast<size_t>(R) * row);
-  const bool pb_patched = overlay != nullptr && overlay->IsPatched(b);
-  const uint32_t* flat = store.FlatWalks();
-  std::vector<uint32_t> scratch_b;
-  const uint32_t* wb =
-      flat != nullptr ? nullptr : DecodeBaseRow(store, b, &scratch_b);
-  // Same (r, t) loop, same first-meeting comparison and same damping-power
-  // accumulation order as EstimatePair — the sum is bit-identical when the
-  // supplied row equals a's materialized row.
+  const std::vector<uint32_t> row_b = ServingRow(store, overlay, b);
+  // First meeting per fingerprint: the damping power of the first step at
+  // which both walks sit at the same position, 0 if either dies first.
   double sum = 0.0;
   for (uint32_t r = 0; r < R; ++r) {
-    const DeltaOverlay::WalkPatch* qb =
-        pb_patched ? overlay->FindPatch(b, r) : nullptr;
     for (uint32_t t = 1; t <= L; ++t) {
       const uint32_t pa = row_a[r * row + t];
-      const uint32_t pb =
-          qb != nullptr && qb->Covers(t)
-              ? qb->Position(t)
-              : (flat != nullptr ? flat[store.FlatSlot(r, t) + b]
-                                 : wb[r * row + t]);
-      if (pa == kDeadWalk || pb == kDeadWalk) break;
+      const uint32_t pb = row_b[r * row + t];
+      if (pa == kDeadWalk || pb == kDeadWalk) break;  // a walk died
       if (pa == pb) {
         sum += damping_powers_[t];
-        break;
+        break;  // first meeting only
       }
     }
   }
@@ -421,29 +282,44 @@ std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
   const size_t row = static_cast<size_t>(L) + 1;
   OIPSIM_CHECK(row_v.size() == static_cast<size_t>(R) * row);
 
-  if (store.FlatWalks() == nullptr) {
+  // The R·L bucket lookups below touch pages scattered across the whole
+  // inverted region of a mapped store — start its readahead (a one-time
+  // batched submission) before the first lookup faults.
+  {
     TraceScope prefetch_scope(TraceStage::kColdRead);
     store.PrefetchSlots();
   }
   std::vector<double> result(n, 0.0);
+  // met_round[b] == r+1 marks that b's walk already met v's walk within
+  // fingerprint r (first-meeting semantics) — an epoch stamp, so the array
+  // is never re-cleared.
   std::vector<uint32_t> met_round(n, 0);
   std::vector<uint32_t> merged_scratch;
-  // Mirrors EstimateSingleSource exactly, with pv read from the supplied
-  // row: the bucket walk order and the per-b accumulation order are
-  // unchanged, so each entry this index's rows cover is the identical
-  // left-to-right sum.
   TraceScope probe_scope(TraceStage::kIndexProbe);
   for (uint32_t r = 0; r < R; ++r) {
     const uint32_t round = r + 1;
     met_round[v] = round;
     for (uint32_t t = 1; t <= L; ++t) {
       const uint32_t pv = row_v[r * row + t];
-      if (pv == kDeadWalk) break;
-      const double weight = damping_powers_[t];
-      AccumulateBucketVertices(store, overlay, r, t, pv, round, weight, n,
-                               &merged_scratch, &met_round, &result);
+      if (pv == kDeadWalk) break;  // v's walk died: no further meetings
+      // Only the vertices actually parked at pv in this slot — the
+      // output-sensitive core. Buckets (merged with the overlay's slot
+      // diff when one is active) are ascending by vertex id, the same
+      // per-b accumulation order as the scan, so each result entry is the
+      // identical left-to-right sum. Every id is bounds-checked before
+      // use (corruption can break the ascending invariant too, so
+      // checking only the last element would not do): an out-of-range id
+      // is payload corruption the (deliberately payload-blind) mapped
+      // open could not have seen, and it must not become an out-of-bounds
+      // write — AccumulateBucketVertices guards before any vector fast
+      // path and falls back to the checked scalar walk.
+      AccumulateBucketVertices(store, overlay, r, t, pv, round,
+                               damping_powers_[t], n, &merged_scratch,
+                               &met_round, &result);
     }
   }
+  // Divide (not multiply by a reciprocal) so every entry is bit-identical
+  // to the corresponding EstimatePair result for any fingerprint count.
   const double fingerprints =
       static_cast<double>(options_.num_fingerprints);
   for (double& score : result) score /= fingerprints;
@@ -453,83 +329,40 @@ std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
 
 std::vector<uint32_t> WalkIndex::MaterializeRow(
     VertexId v, const DeltaOverlay* overlay) const {
+  OIPSIM_CHECK(v < n());
+  return ServingRow(ServingStore(overlay), overlay, v);
+}
+
+std::vector<uint32_t> WalkIndex::WalkTable(
+    const DeltaOverlay* overlay) const {
   const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
-  OIPSIM_CHECK(v < n);
-  const uint32_t R = options_.num_fingerprints;
-  const uint32_t L = options_.walk_length;
-  const size_t row = static_cast<size_t>(L) + 1;
-  std::vector<uint32_t> out(static_cast<size_t>(R) * row);
-  const uint32_t* flat = store.FlatWalks();
-  std::vector<uint32_t> decoded;
-  const uint32_t* base =
-      flat != nullptr ? nullptr : DecodeBaseRow(store, v, &decoded);
-  const bool patched = overlay != nullptr && overlay->IsPatched(v);
-  for (uint32_t r = 0; r < R; ++r) {
-    const DeltaOverlay::WalkPatch* patch =
-        patched ? overlay->FindPatch(v, r) : nullptr;
-    out[r * row] = v;
-    for (uint32_t t = 1; t <= L; ++t) {
-      out[r * row + t] =
-          patch != nullptr && patch->Covers(t)
-              ? patch->Position(t)
-              : (flat != nullptr ? flat[store.FlatSlot(r, t) + v]
-                                 : base[r * row + t]);
-    }
-  }
-  return out;
+  std::vector<uint32_t> walks(store.WalkWords() * n());
+  const Status status =
+      MaterializeWalkTable(store, overlay, 0, n(), walks.data());
+  OIPSIM_CHECK_MSG(status.ok(), "corrupt walk segment: %s",
+                   status.ToString().c_str());
+  return walks;
 }
 
 std::vector<double> WalkIndex::EstimateSingleSourceScan(
-    VertexId v, const DeltaOverlay* overlay) const {
-  const WalkStore& store = ServingStore(overlay);
-  const uint32_t n = store.meta().n;
+    VertexId v, std::span<const uint32_t> walks) const {
+  const uint32_t n = this->n();
   OIPSIM_CHECK(v < n);
-  const uint32_t* walks = store.FlatWalks();
-  OIPSIM_CHECK_MSG(walks != nullptr,
-                   "EstimateSingleSourceScan needs resident walks; the %s "
-                   "backend serves single-source via the inverted index",
-                   store.backend_name());
   const uint32_t L = options_.walk_length;
   const size_t row = static_cast<size_t>(L) + 1;
-  // Materialize full rows for the patched vertices up front (null =
-  // unpatched) so the O(R·L·n) scan pays an array read per position, not a
-  // hash lookup.
-  std::vector<const uint32_t*> patched;
-  std::vector<std::vector<uint32_t>> patched_rows;
-  if (overlay != nullptr && overlay->patched_vertex_count() > 0) {
-    patched.assign(n, nullptr);
-    patched_rows.reserve(overlay->patched_vertices().size());
-    for (const auto& [pv, count] : overlay->patched_vertices()) {
-      (void)count;
-      patched_rows.emplace_back(store.WalkWords());
-      const Status status = simrank::MaterializeRow(
-          store, overlay, pv, patched_rows.back().data());
-      OIPSIM_CHECK_MSG(status.ok(), "corrupt walk segment while serving: %s",
-                       status.ToString().c_str());
-      patched[pv] = patched_rows.back().data();
-    }
-  }
-  auto position = [&](uint32_t r, uint32_t t, size_t slot, VertexId b) {
-    if (!patched.empty() && patched[b] != nullptr) {
-      return patched[b][r * row + t];
-    }
-    return walks[slot + b];
-  };
+  OIPSIM_CHECK(walks.size() == options_.num_fingerprints * row * n);
   std::vector<double> result(n, 0.0);
   std::vector<uint32_t> met_round(n, 0);
   for (uint32_t r = 0; r < options_.num_fingerprints; ++r) {
     const uint32_t round = r + 1;
     met_round[v] = round;
     for (uint32_t t = 1; t <= L; ++t) {
-      const size_t slot = store.FlatSlot(r, t);
-      const uint32_t pv = position(r, t, slot, v);
+      const uint32_t* slot = walks.data() + (r * row + t) * n;
+      const uint32_t pv = slot[v];
       if (pv == kDeadWalk) break;
       const double weight = damping_powers_[t];
       for (uint32_t b = 0; b < n; ++b) {
-        if (met_round[b] == round || position(r, t, slot, b) != pv) {
-          continue;
-        }
+        if (met_round[b] == round || slot[b] != pv) continue;
         result[b] += weight;
         met_round[b] = round;
       }

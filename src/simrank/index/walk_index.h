@@ -16,11 +16,12 @@
 //
 // The index is built once (in parallel across a thread pool; each
 // fingerprint is seeded deterministically, so the result is bit-identical
-// for any thread count) and serialized in the versioned v2 segmented
-// format of index/walk_store.h. Serving picks a storage backend per
-// deployment: fully resident (InMemoryWalkStore, fastest) or mmap-backed
-// (MmapWalkStore — open cost and resident set are O(header + directory),
-// payload pages fault in on demand). The walks are coupled through
+// for any thread count) and encoded in the versioned v2 segmented format
+// of index/walk_store.h. Every estimator reads that one image, through
+// one row decode per vertex; a deployment only picks where the image
+// lives — read into RAM and fully verified, or mapped (open cost and
+// resident set are O(header + directory), payload pages fault in on
+// demand). The walks are coupled through
 // simrank::CoupledWalkHash — the same function the on-the-fly Monte-Carlo
 // estimator uses — so both sample identical walk distributions.
 #ifndef OIPSIM_SIMRANK_INDEX_WALK_INDEX_H_
@@ -103,22 +104,16 @@ class WalkIndex {
   /// Sentinel position of a walk that left a vertex with no in-neighbours.
   static constexpr uint32_t kDeadWalk = WalkStore::kDeadWalk;
 
-  /// Storage backend selection for Load.
+  /// Where Load puts the image.
   struct LoadOptions {
-    /// Serve straight from the file via MmapWalkStore: open reads only the
-    /// header and segment directory, the payload pages in on demand.
+    /// Serve straight from the file via WalkStore::Map: open reads only
+    /// the header and segment directory, the payload pages in on demand.
     /// Payload integrity is then enforced per decode (bounds checks)
     /// instead of a whole-file checksum at open; corruption detected
     /// mid-serve is a fatal checked error, so pre-validate files from
     /// untrusted storage with store().VerifyPayload() before serving.
-    /// The full-row scan path (EstimateSingleSourceScan) is unavailable.
-    /// false loads and fully verifies everything into RAM — v1's serving
-    /// behavior.
+    /// false reads the file into RAM and verifies all of it at open.
     bool use_mmap = false;
-    /// Worker threads for the in-memory backend's segment decode (the
-    /// dominant cold-open cost); 0 means hardware concurrency. The loaded
-    /// store is bitwise identical for any value. Ignored by mmap.
-    uint32_t num_threads = 0;
   };
 
   /// v2 serialization knobs; see WalkStoreSaveOptions.
@@ -132,20 +127,21 @@ class WalkIndex {
   static Result<WalkIndex> Build(const DiGraph& graph,
                                  const WalkIndexOptions& options);
 
-  /// Opens an index previously written by Save through the backend `load`
-  /// selects. Validation errors are descriptive: a v1 or unknown-version
-  /// file names the version found and the one supported, truncation names
-  /// the offset the data stops at. The overload without options uses the
-  /// fully-verifying in-memory backend.
+  /// Opens an index previously written by Save the way `load` selects.
+  /// Validation errors are descriptive: a v1 or unknown-version file
+  /// names the version found and the one supported, truncation names the
+  /// offset the data stops at. The overload without options reads and
+  /// fully verifies the file.
   static Result<WalkIndex> Load(const std::string& path,
                                 const LoadOptions& load);
   static Result<WalkIndex> Load(const std::string& path) {
     return Load(path, LoadOptions());
   }
 
-  /// Writes the versioned v2 binary format. Saving the same index twice
-  /// produces byte-identical files, whatever the backend. The overload
-  /// without options writes uncompressed segments.
+  /// Writes the versioned v2 binary format through a synced temporary
+  /// file renamed into place. Saving the same index twice produces
+  /// byte-identical files, mapped or not. The overload without options
+  /// writes uncompressed segments.
   Status Save(const std::string& path, const SaveOptions& save) const;
   Status Save(const std::string& path) const {
     return Save(path, SaveOptions());
@@ -202,16 +198,18 @@ class WalkIndex {
   std::vector<uint32_t> MaterializeRow(VertexId v,
                                        const DeltaOverlay* overlay) const;
 
-  /// The pre-v2 full-row scan over the flat walk table, kept as the
-  /// reference implementation the inverted path is validated against
-  /// (overlay-aware like the inverted path, so the two stay comparable
-  /// under updates). Requires a backend with resident walks
-  /// (has_resident_walks()).
-  std::vector<double> EstimateSingleSourceScan(VertexId v) const {
-    return EstimateSingleSourceScan(v, overlay_snapshot().get());
-  }
+  /// The pre-v2 full-row scan, kept as the reference implementation the
+  /// inverted path is validated against: O(R·L·n) over `walks`, a flat
+  /// walk table as WalkTable returns it. A table taken under an overlay
+  /// gives the row EstimateSingleSource serves under that overlay,
+  /// bitwise.
   std::vector<double> EstimateSingleSourceScan(
-      VertexId v, const DeltaOverlay* overlay) const;
+      VertexId v, std::span<const uint32_t> walks) const;
+
+  /// The flat walk table under `overlay` (nullptr = base), materialized
+  /// row by row through MaterializeWalkTable: walks[(r·(L+1) + t)·n + v].
+  /// n·R·(L+1) words — a test and bench oracle, not a serving path.
+  std::vector<uint32_t> WalkTable(const DeltaOverlay* overlay) const;
 
   /// Publishes `overlay` as the served patch set (nullptr reverts to the
   /// base store). RCU-style: in-flight queries keep the snapshot they
@@ -231,28 +229,21 @@ class WalkIndex {
     return overlay == nullptr ? 0 : overlay->sequence();
   }
 
-  /// True when the backend keeps the flat walk table in RAM (in-memory
-  /// backend; false for mmap), enabling EstimateSingleSourceScan.
-  bool has_resident_walks() const {
-    return store_->FlatWalks() != nullptr;
-  }
-
   uint32_t n() const { return store_->meta().n; }
   const WalkIndexOptions& options() const { return options_; }
   uint64_t graph_fingerprint() const {
     return store_->meta().graph_fingerprint;
   }
-  /// Bytes the backing store keeps resident in RAM (flat table plus
-  /// inverted index for the in-memory backend; header/directory pages for
-  /// mmap).
+  /// Bytes the backing store keeps resident in RAM (the whole image when
+  /// read in, the header/directory pages when mapped).
   uint64_t SizeBytes() const { return store_->ResidentBytes(); }
 
-  /// The storage backend this index was built or loaded with. Estimators
-  /// do not read it directly — they resolve through ServingStore, because
-  /// a background compaction can retarget serving to a merged store
-  /// carried by the published overlay. Still the right store for Save,
-  /// backend diagnostics and prefetch hints (compaction preserves the
-  /// backend's residency characteristics).
+  /// The store this index was built or loaded with. Estimators do not
+  /// read it directly — they resolve through ServingStore, because a
+  /// background compaction can retarget serving to a merged store carried
+  /// by the published overlay. Still the right store for Save,
+  /// diagnostics and prefetch hints (compaction keeps a mapped index
+  /// mapped).
   const WalkStore& store() const { return *store_; }
 
   /// The store `overlay` is expressed against: its rebased (compacted)

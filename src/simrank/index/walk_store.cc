@@ -4,12 +4,14 @@
 #include <cstdio>
 #include <cstring>
 
+#include "simrank/common/file_util.h"
 #include "simrank/common/macros.h"
 #include "simrank/common/simd.h"
 #include "simrank/common/stream_hash.h"
 #include "simrank/common/string_util.h"
 #include "simrank/common/thread_pool.h"
 #include "simrank/common/varint.h"
+#include "simrank/index/delta_overlay.h"
 #include "simrank/index/segment_reader.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -261,7 +263,7 @@ Result<ParsedLayout> ParseHeaderBytes(const uint8_t* bytes, size_t available,
 }
 
 /// Validates the directory arrays: monotone, within their regions, blob
-/// sizes well-formed. Shared by both backends.
+/// sizes well-formed.
 Status ValidateDirectory(const ParsedLayout& layout, const uint64_t* seg_rel,
                          const uint64_t* inv_rel, const std::string& path) {
   const uint64_t segments_capacity =
@@ -310,29 +312,6 @@ Status ValidateDirectory(const ParsedLayout& layout, const uint64_t* seg_rel,
     }
   }
   return Status::OK();
-}
-
-uint64_t DirectoryChecksum(const uint8_t* directory, uint64_t bytes);
-
-/// Shared open-time directory handling for both backends: verifies the
-/// directory checksum (whose extent starts right after the header fields,
-/// covering the header page's padding), exposes the two directory arrays
-/// as views into `base`, and validates their contents.
-Status OpenDirectory(const uint8_t* base, const ParsedLayout& layout,
-                     const std::string& path, const uint64_t** seg_rel,
-                     const uint64_t** inv_rel) {
-  if (DirectoryChecksum(base + kHeaderBytes,
-                        layout.segments_offset - kHeaderBytes) !=
-      layout.directory_checksum) {
-    return Status::ParseError(StrFormat(
-        "walk index directory checksum mismatch in %s (bytes %zu..%llu)",
-        path.c_str(), kHeaderBytes,
-        static_cast<unsigned long long>(layout.segments_offset)));
-  }
-  *seg_rel =
-      reinterpret_cast<const uint64_t*>(base + layout.directory_offset);
-  *inv_rel = *seg_rel + layout.meta.n + 1;
-  return ValidateDirectory(layout, *seg_rel, *inv_rel, path);
 }
 
 uint64_t PayloadChecksum(const uint8_t* segments, uint64_t segment_bytes,
@@ -467,179 +446,131 @@ std::span<const VertexId> WalkStore::Bucket(uint32_t r, uint32_t t,
   return {slot.vertices + range.begin, range.end - range.begin};
 }
 
-// ---------------------------------------------------------------- writer
+// --------------------------------------------------------------- encoder
 
-Status SaveWalkStore(const WalkStore& store, const std::string& path,
-                     const WalkStoreSaveOptions& options) {
-  const WalkStoreMeta& meta = store.meta();
+std::unique_ptr<WalkStore> WalkStore::Encode(const WalkStoreMeta& meta,
+                                             std::span<const uint32_t> walks,
+                                             bool compress,
+                                             uint32_t num_threads) {
   const uint32_t n = meta.n;
   const uint32_t L = meta.walk_length;
   const size_t row = static_cast<size_t>(L) + 1;
   const uint64_t num_slots =
       static_cast<uint64_t>(meta.num_fingerprints) * L;
+  OIPSIM_CHECK_EQ(walks.size(), meta.num_fingerprints * row * n);
+  // The n positions of fingerprint r's walks after t steps.
+  auto column = [&](uint64_t r, uint32_t t) {
+    return walks.data() + (r * row + t) * n;
+  };
 
   // Directory: seg_rel[n+1] then inv_rel[num_slots+1], filled as the
   // regions are encoded.
-  std::vector<uint64_t> directory;
-  directory.reserve(n + 1 + num_slots + 1);
+  std::vector<uint64_t> directory(n + 1 + num_slots + 1, 0);
+  uint64_t* seg_rel = directory.data();
+  uint64_t* inv_rel = seg_rel + n + 1;
 
-  std::vector<uint8_t> segments;
-  std::vector<uint32_t> walk(store.WalkWords());
-  for (VertexId v = 0; v < n; ++v) {
-    directory.push_back(segments.size());
-    OIPSIM_RETURN_IF_ERROR(store.DecodeVertex(v, walk.data()));
-    for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
-      uint32_t length = 0;
-      while (length < L && walk[r * row + length + 1] != kDead) ++length;
-      if (options.compress) {
-        AppendVarint32(&segments, length);
-        uint32_t prev = v;
-        for (uint32_t t = 1; t <= length; ++t) {
-          const uint32_t position = walk[r * row + t];
-          AppendVarint64(&segments,
-                         ZigZagEncode64(static_cast<int64_t>(position) -
-                                        static_cast<int64_t>(prev)));
-          prev = position;
-        }
-      } else {
-        AppendWord(&segments, length);
-        for (uint32_t t = 1; t <= length; ++t) {
-          AppendWord(&segments, walk[r * row + t]);
+  // Per-vertex segments: per fingerprint, the walk's alive length, then
+  // its positions — raw words, or zigzag varint deltas from the previous
+  // position (the vertex itself for step 1). Encoded in parallel over
+  // contiguous vertex blocks and laid out in block order, so the bytes do
+  // not depend on the thread count. Each block gathers its rows a tile
+  // of vertices at a time, reading every table column sequentially.
+  const size_t words = meta.num_fingerprints * row;
+  ThreadPool pool(num_threads);
+  const uint64_t num_blocks =
+      std::min<uint64_t>(n, uint64_t{pool.num_threads()} * 4);
+  std::vector<std::vector<uint8_t>> block_segments(num_blocks);
+  pool.ParallelFor(0, num_blocks, [&](uint64_t block) {
+    constexpr VertexId kTile = 64;
+    std::vector<uint8_t>& out = block_segments[block];
+    std::vector<uint32_t> tile(kTile * words);
+    const auto lo = static_cast<VertexId>(n * block / num_blocks);
+    const auto hi = static_cast<VertexId>(n * (block + 1) / num_blocks);
+    for (VertexId v0 = lo; v0 < hi; v0 += kTile) {
+      const VertexId count = std::min(kTile, hi - v0);
+      for (size_t word = 0; word < words; ++word) {
+        const uint32_t* src = walks.data() + word * n + v0;
+        for (VertexId i = 0; i < count; ++i) tile[i * words + word] = src[i];
+      }
+      for (VertexId i = 0; i < count; ++i) {
+        const VertexId v = v0 + i;
+        seg_rel[v] = out.size();  // block-relative until the layout pass
+        for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
+          const uint32_t* walk = tile.data() + i * words + r * row;
+          uint32_t length = 0;
+          while (length < L && walk[length + 1] != kDead) ++length;
+          if (compress) {
+            AppendVarint32(&out, length);
+            uint32_t prev = v;
+            for (uint32_t t = 1; t <= length; ++t) {
+              AppendVarint64(&out,
+                             ZigZagEncode64(static_cast<int64_t>(walk[t]) -
+                                            static_cast<int64_t>(prev)));
+              prev = walk[t];
+            }
+          } else {
+            AppendWord(&out, length);
+            for (uint32_t t = 1; t <= length; ++t) AppendWord(&out, walk[t]);
+          }
         }
       }
     }
+  });
+  uint64_t segment_bytes = 0;
+  for (uint64_t block = 0; block < num_blocks; ++block) {
+    for (auto v = static_cast<VertexId>(n * block / num_blocks);
+         v < n * (block + 1) / num_blocks; ++v) {
+      seg_rel[v] += segment_bytes;
+    }
+    segment_bytes += block_segments[block].size();
   }
-  directory.push_back(segments.size());
+  seg_rel[n] = segment_bytes;
 
-  std::vector<uint32_t> inverted;
-  directory.push_back(0);
-  for (uint64_t s = 0; s < num_slots; ++s) {
-    const uint32_t r = static_cast<uint32_t>(s / L);
-    const uint32_t t = static_cast<uint32_t>(s % L) + 1;
-    const WalkStore::SlotView slot = store.Slot(r, t);
-    inverted.insert(inverted.end(), slot.positions,
-                    slot.positions + slot.count);
-    inverted.insert(inverted.end(), slot.vertices,
-                    slot.vertices + slot.count);
-    directory.push_back(static_cast<uint64_t>(inverted.size()) *
-                        sizeof(uint32_t));
-  }
+  // Inverted index, in two passes that are both parallel over
+  // fingerprints (slots of different r are disjoint, so the bytes are
+  // identical for any thread count): count the alive walks per slot
+  // s = r·L + (t-1), then counting-sort each slot by position straight
+  // into its blob. Filling vertices in ascending order keeps every bucket
+  // ascending — the invariant the bitwise-deterministic single-source
+  // path relies on.
+  pool.ParallelFor(0, meta.num_fingerprints, [&](uint64_t r) {
+    for (uint32_t t = 1; t <= L; ++t) {
+      const uint32_t* positions = column(r, t);
+      uint64_t alive = 0;
+      for (uint32_t v = 0; v < n; ++v) alive += positions[v] != kDead;
+      inv_rel[r * L + t] = alive * 8;  // 8 bytes per entry
+    }
+  });
+  for (uint64_t s = 0; s < num_slots; ++s) inv_rel[s + 1] += inv_rel[s];
 
   const uint64_t directory_bytes = directory.size() * sizeof(uint64_t);
   const uint64_t segments_offset =
       AlignUp(kPageSize + directory_bytes, kPageSize);
   const uint64_t inverted_offset =
-      AlignUp(segments_offset + segments.size(), kPageSize);
-  const uint64_t inverted_bytes = inverted.size() * sizeof(uint32_t);
-  const uint64_t file_size = inverted_offset + inverted_bytes;
+      AlignUp(segments_offset + segment_bytes, kPageSize);
+  const uint64_t file_size = inverted_offset + inv_rel[num_slots];
 
-  // Checksums cover the full page-padded region extents (the inverted
-  // region ends the file, so it has none): a flipped byte anywhere in the
-  // file — even in alignment padding — fails exactly one of the three.
-  // The directory checksum's extent starts right after the 104 header
-  // bytes so the header page's own padding is covered too.
-  std::vector<uint8_t> directory_region(segments_offset - kHeaderBytes, 0);
-  std::memcpy(directory_region.data() + (kPageSize - kHeaderBytes),
-              directory.data(), directory_bytes);
-  segments.resize(inverted_offset - segments_offset, 0);
-  const auto* inverted_bytes_ptr =
-      reinterpret_cast<const uint8_t*>(inverted.data());
-  const uint64_t payload_checksum =
-      PayloadChecksum(segments.data(), segments.size(), inverted_bytes_ptr,
-                      inverted_bytes);
-  const uint64_t directory_checksum =
-      DirectoryChecksum(directory_region.data(), directory_region.size());
-
-  uint8_t header[kHeaderBytes] = {};
-  WriteScalar<uint32_t>(header + 0, kIndexMagic);
-  WriteScalar<uint32_t>(header + 4, kIndexVersion);
-  WriteScalar<uint32_t>(header + 8, n);
-  WriteScalar<uint32_t>(header + 12, meta.num_fingerprints);
-  WriteScalar<uint32_t>(header + 16, L);
-  WriteScalar<uint32_t>(header + 20,
-                        options.compress ? kFlagCompressedSegments : 0u);
-  WriteScalar<uint64_t>(header + 24, meta.seed);
-  WriteScalar<uint64_t>(header + 32, DampingBits(meta.damping));
-  WriteScalar<uint64_t>(header + 40, meta.graph_fingerprint);
-  WriteScalar<uint64_t>(header + 48, kPageSize);  // directory offset
-  WriteScalar<uint64_t>(header + 56, segments_offset);
-  WriteScalar<uint64_t>(header + 64, inverted_offset);
-  WriteScalar<uint64_t>(header + 72, file_size);
-  WriteScalar<uint64_t>(header + 80, payload_checksum);
-  WriteScalar<uint64_t>(header + 88, directory_checksum);
-  StreamHasher header_hasher(kHeaderSalt);
-  header_hasher.AbsorbBytes(header, kHeaderBytes - sizeof(uint64_t));
-  WriteScalar<uint64_t>(header + 96, header_hasher.digest());
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IoError("cannot open for writing: " + path);
-  FileCloser closer(f);
-  // directory_region already carries the header page's padding.
-  bool ok = std::fwrite(header, 1, kHeaderBytes, f) == kHeaderBytes &&
-            std::fwrite(directory_region.data(), 1,
-                        directory_region.size(),
-                        f) == directory_region.size();
-  if (ok && !segments.empty()) {
-    ok = std::fwrite(segments.data(), 1, segments.size(), f) ==
-         segments.size();
+  // Zero-filled, so every alignment pad is zero.
+  std::unique_ptr<WalkStore> store(new WalkStore());
+  store->path_ = "(encoded walk image)";
+  std::vector<uint8_t>& image = store->owned_;
+  image.assign(file_size, 0);
+  std::memcpy(image.data() + kPageSize, directory.data(), directory_bytes);
+  uint8_t* segments = image.data() + segments_offset;
+  for (std::vector<uint8_t>& block : block_segments) {
+    if (!block.empty()) std::memcpy(segments, block.data(), block.size());
+    segments += block.size();
+    std::vector<uint8_t>().swap(block);
   }
-  if (ok && !inverted.empty()) {
-    ok = std::fwrite(inverted_bytes_ptr, 1, inverted_bytes, f) ==
-         inverted_bytes;
-  }
-  ok = ok && std::fflush(f) == 0;
-  if (!ok) return Status::IoError("short write: " + path);
-  return Status::OK();
-}
-
-// ------------------------------------------------------ in-memory backend
-
-InMemoryWalkStore::InMemoryWalkStore(const WalkStoreMeta& meta,
-                                     std::vector<uint32_t> walks,
-                                     uint32_t num_threads)
-    : walks_(std::move(walks)) {
-  meta_ = meta;
-  OIPSIM_CHECK_EQ(walks_.size(), WalkWords() * meta_.n);
-  BuildInverted(num_threads);
-}
-
-void InMemoryWalkStore::BuildInverted(uint32_t num_threads) {
-  const uint32_t n = meta_.n;
-  const uint32_t L = meta_.walk_length;
-  const uint64_t num_slots =
-      static_cast<uint64_t>(meta_.num_fingerprints) * L;
-  slot_offsets_.assign(num_slots + 1, 0);
-
-  // Two passes, both parallel over fingerprints (slots of different r are
-  // disjoint, so the result is identical for any thread count): count the
-  // alive walks per slot, then counting-sort each slot by position. Filling
-  // vertices in ascending order keeps every bucket ascending — the
-  // invariant the bitwise-deterministic single-source path relies on.
-  ThreadPool pool(num_threads);
-  pool.ParallelFor(0, meta_.num_fingerprints, [&](uint64_t r) {
-    for (uint32_t t = 1; t <= L; ++t) {
-      const uint64_t s = r * L + (t - 1);
-      const uint32_t* column =
-          walks_.data() + FlatSlot(static_cast<uint32_t>(r), t);
-      uint64_t alive = 0;
-      for (uint32_t v = 0; v < n; ++v) alive += column[v] != kDead;
-      slot_offsets_[s + 1] = alive;
-    }
-  });
-  for (uint64_t s = 0; s < num_slots; ++s) {
-    slot_offsets_[s + 1] += slot_offsets_[s];
-  }
-  inverted_positions_.resize(slot_offsets_[num_slots]);
-  inverted_vertices_.resize(slot_offsets_[num_slots]);
-  pool.ParallelFor(0, meta_.num_fingerprints, [&](uint64_t r) {
+  uint8_t* inverted = image.data() + inverted_offset;
+  pool.ParallelFor(0, meta.num_fingerprints, [&](uint64_t r) {
     std::vector<uint32_t> start(n);
     for (uint32_t t = 1; t <= L; ++t) {
       const uint64_t s = r * L + (t - 1);
-      const uint32_t* column =
-          walks_.data() + FlatSlot(static_cast<uint32_t>(r), t);
+      const uint32_t* positions = column(r, t);
       std::fill(start.begin(), start.end(), 0);
       for (uint32_t v = 0; v < n; ++v) {
-        if (column[v] != kDead) ++start[column[v]];
+        if (positions[v] != kDead) ++start[positions[v]];
       }
       uint32_t running = 0;
       for (uint32_t p = 0; p < n; ++p) {
@@ -647,184 +578,128 @@ void InMemoryWalkStore::BuildInverted(uint32_t num_threads) {
         start[p] = running;
         running += count;
       }
-      const uint64_t base = slot_offsets_[s];
+      // Blob layout: uint32 positions[running], then vertices[running].
+      uint8_t* blob_positions = inverted + inv_rel[s];
+      uint8_t* blob_vertices = blob_positions + uint64_t{running} * 4;
       for (uint32_t v = 0; v < n; ++v) {
-        const uint32_t position = column[v];
+        const uint32_t position = positions[v];
         if (position == kDead) continue;
-        const uint64_t at = base + start[position]++;
-        inverted_positions_[at] = position;
-        inverted_vertices_[at] = v;
+        const uint64_t at = uint64_t{start[position]++} * 4;
+        WriteScalar<uint32_t>(blob_positions + at, position);
+        WriteScalar<uint32_t>(blob_vertices + at, v);
       }
     }
   });
-}
 
-Status InMemoryWalkStore::DecodeVertex(VertexId v, uint32_t* out) const {
-  OIPSIM_DCHECK(v < meta_.n);
-  const size_t row = static_cast<size_t>(meta_.walk_length) + 1;
-  for (uint32_t r = 0; r < meta_.num_fingerprints; ++r) {
-    for (uint32_t t = 0; t < row; ++t) {
-      out[r * row + t] = walks_[FlatSlot(r, static_cast<uint32_t>(t)) + v];
-    }
-  }
-  return Status::OK();
-}
+  // Checksums cover the full page-padded region extents (the inverted
+  // region ends the file, so it has none): a flipped byte anywhere in the
+  // file — even in alignment padding — fails exactly one of the three.
+  // The directory checksum's extent starts right after the 104 header
+  // bytes so the header page's own padding is covered too.
+  uint8_t* header = image.data();
+  WriteScalar<uint32_t>(header + 0, kIndexMagic);
+  WriteScalar<uint32_t>(header + 4, kIndexVersion);
+  WriteScalar<uint32_t>(header + 8, n);
+  WriteScalar<uint32_t>(header + 12, meta.num_fingerprints);
+  WriteScalar<uint32_t>(header + 16, L);
+  WriteScalar<uint32_t>(header + 20, compress ? kFlagCompressedSegments : 0u);
+  WriteScalar<uint64_t>(header + 24, meta.seed);
+  WriteScalar<uint64_t>(header + 32, DampingBits(meta.damping));
+  WriteScalar<uint64_t>(header + 40, meta.graph_fingerprint);
+  WriteScalar<uint64_t>(header + 48, kPageSize);  // directory offset
+  WriteScalar<uint64_t>(header + 56, segments_offset);
+  WriteScalar<uint64_t>(header + 64, inverted_offset);
+  WriteScalar<uint64_t>(header + 72, file_size);
+  WriteScalar<uint64_t>(
+      header + 80,
+      PayloadChecksum(image.data() + segments_offset,
+                      inverted_offset - segments_offset, inverted,
+                      file_size - inverted_offset));
+  WriteScalar<uint64_t>(
+      header + 88, DirectoryChecksum(image.data() + kHeaderBytes,
+                                     segments_offset - kHeaderBytes));
+  StreamHasher header_hasher(kHeaderSalt);
+  header_hasher.AbsorbBytes(header, kHeaderBytes - sizeof(uint64_t));
+  WriteScalar<uint64_t>(header + 96, header_hasher.digest());
 
-WalkStore::SlotView InMemoryWalkStore::Slot(uint32_t r, uint32_t t) const {
-  OIPSIM_DCHECK(r < meta_.num_fingerprints);
-  OIPSIM_DCHECK(t >= 1 && t <= meta_.walk_length);
-  const uint64_t s =
-      static_cast<uint64_t>(r) * meta_.walk_length + (t - 1);
-  const uint64_t begin = slot_offsets_[s];
-  return {inverted_positions_.data() + begin,
-          inverted_vertices_.data() + begin, slot_offsets_[s + 1] - begin};
-}
-
-uint64_t InMemoryWalkStore::ResidentBytes() const {
-  return walks_.size() * sizeof(uint32_t) +
-         slot_offsets_.size() * sizeof(uint64_t) +
-         inverted_positions_.size() * sizeof(uint32_t) +
-         inverted_vertices_.size() * sizeof(uint32_t);
-}
-
-Result<std::unique_ptr<InMemoryWalkStore>> InMemoryWalkStore::Open(
-    const std::string& path, uint32_t num_threads) {
-  std::vector<uint8_t> bytes;
-  OIPSIM_RETURN_IF_ERROR(ReadFileBytes(path, &bytes));
-  auto layout_or =
-      ParseHeaderBytes(bytes.data(), bytes.size(), bytes.size(), path);
-  if (!layout_or.ok()) return layout_or.status();
-  const ParsedLayout& layout = *layout_or;
-
-  const uint64_t* seg_rel = nullptr;
-  const uint64_t* inv_rel = nullptr;
-  OIPSIM_RETURN_IF_ERROR(
-      OpenDirectory(bytes.data(), layout, path, &seg_rel, &inv_rel));
-
-  const uint8_t* segments_base = bytes.data() + layout.segments_offset;
-  const uint8_t* inverted_base = bytes.data() + layout.inverted_offset;
-  if (PayloadChecksum(segments_base,
-                      layout.inverted_offset - layout.segments_offset,
-                      inverted_base,
-                      layout.file_size - layout.inverted_offset) !=
-      layout.payload_checksum) {
-    return Status::ParseError(StrFormat(
-        "walk index payload checksum mismatch in %s (segments at %llu, "
-        "inverted index at %llu)",
-        path.c_str(),
-        static_cast<unsigned long long>(layout.segments_offset),
-        static_cast<unsigned long long>(layout.inverted_offset)));
-  }
-
-  std::unique_ptr<InMemoryWalkStore> store(new InMemoryWalkStore());
-  store->meta_ = layout.meta;
-  const uint32_t n = layout.meta.n;
-  // v1 bounded its load allocation by the file size outright (its flat
-  // format stored every decoded word). Dead-walk-compressed v2 segments
-  // legitimately decode somewhat larger, but a crafted checksum-valid
-  // file must not turn a few MB on disk into a tens-of-GB table, so the
-  // materialization is capped at a fixed multiple of the file (with a
-  // floor so tiny indexes always load). Oversized-but-consistent indexes
-  // remain servable through MmapWalkStore, which never materializes the
-  // flat table.
-  constexpr uint64_t kMaxInMemoryAmplification = 64;
-  constexpr uint64_t kMinInMemoryBudgetBytes = 64ull << 20;
-  const auto wide_decoded_bytes =
-      static_cast<unsigned __int128>(store->WalkWords()) * n *
-      sizeof(uint32_t);
-  const auto wide_budget_bytes = std::max(
-      static_cast<unsigned __int128>(kMinInMemoryBudgetBytes),
-      static_cast<unsigned __int128>(bytes.size()) *
-          kMaxInMemoryAmplification);
-  if (wide_decoded_bytes > wide_budget_bytes) {
-    return Status::ParseError(StrFormat(
-        "walk index %s decodes to %llu MiB, over %llux its %llu MiB file "
-        "— refusing the in-memory load; serve it with mmap instead",
-        path.c_str(),
-        static_cast<unsigned long long>(
-            static_cast<uint64_t>(wide_decoded_bytes >> 20)),
-        static_cast<unsigned long long>(kMaxInMemoryAmplification),
-        static_cast<unsigned long long>(bytes.size() >> 20)));
-  }
-  store->walks_.resize(store->WalkWords() * n);
-  // Per-vertex decode with a transposing scatter into the (r,t)-major
-  // table; this dominates the in-memory cold-open cost (~100 ms for the
-  // 62 MB bench index), so it runs in parallel over disjoint contiguous
-  // vertex ranges. Vertex v only writes column v of the flat table, so
-  // the result is bitwise identical for any thread count; blocks are
-  // ordered by vertex range, so reporting the first failed block's error
-  // reproduces the serial pass's first-corrupt-vertex diagnostics exactly.
-  const uint32_t decode_threads = ThreadPool::ResolveThreadCount(num_threads);
-  auto decode_range = [&](VertexId lo, VertexId hi, uint32_t* scratch) {
-    for (VertexId v = lo; v < hi; ++v) {
-      OIPSIM_RETURN_IF_ERROR(DecodeSegment(
-          layout.meta, layout.compressed, v, segments_base + seg_rel[v],
-          segments_base + seg_rel[v + 1],
-          layout.segments_offset + seg_rel[v], path, scratch));
-      for (size_t word = 0; word < store->WalkWords(); ++word) {
-        store->walks_[word * n + v] = scratch[word];
-      }
-    }
-    return Status::OK();
-  };
-  if (decode_threads <= 1 || n < 2 * decode_threads) {
-    std::vector<uint32_t> scratch(store->WalkWords());
-    OIPSIM_RETURN_IF_ERROR(decode_range(0, n, scratch.data()));
-  } else {
-    // A few blocks per worker smooth over skewed segment sizes (hub
-    // vertices compress worse than leaves).
-    const uint64_t num_blocks =
-        std::min<uint64_t>(n, static_cast<uint64_t>(decode_threads) * 4);
-    std::vector<Status> block_status(num_blocks);
-    ThreadPool pool(decode_threads);
-    pool.ParallelFor(0, num_blocks, [&](uint64_t block) {
-      const auto lo =
-          static_cast<VertexId>(static_cast<uint64_t>(n) * block /
-                                num_blocks);
-      const auto hi =
-          static_cast<VertexId>(static_cast<uint64_t>(n) * (block + 1) /
-                                num_blocks);
-      std::vector<uint32_t> scratch(store->WalkWords());
-      block_status[block] = decode_range(lo, hi, scratch.data());
-    });
-    for (const Status& status : block_status) {
-      OIPSIM_RETURN_IF_ERROR(status);
-    }
-  }
-
-  store->slot_offsets_.resize(layout.num_slots + 1);
-  for (uint64_t s = 0; s <= layout.num_slots; ++s) {
-    store->slot_offsets_[s] = inv_rel[s] / 8;
-  }
-  const uint64_t total_entries = store->slot_offsets_[layout.num_slots];
-  store->inverted_positions_.resize(total_entries);
-  store->inverted_vertices_.resize(total_entries);
-  for (uint64_t s = 0; s < layout.num_slots; ++s) {
-    const uint64_t begin = store->slot_offsets_[s];
-    const uint64_t count = store->slot_offsets_[s + 1] - begin;
-    const uint8_t* blob = inverted_base + inv_rel[s];
-    std::memcpy(store->inverted_positions_.data() + begin, blob,
-                count * sizeof(uint32_t));
-    std::memcpy(store->inverted_vertices_.data() + begin,
-                blob + count * sizeof(uint32_t), count * sizeof(uint32_t));
-  }
+  store->data_ = image.data();
+  store->size_ = image.size();
+  const Status attached = store->Attach(store->size_);
+  OIPSIM_CHECK_MSG(attached.ok(), "walk encoder produced a bad image: %s",
+                   attached.ToString().c_str());
   return store;
 }
 
-// ----------------------------------------------------------- mmap backend
-
-MmapWalkStore::MmapWalkStore() = default;
-
-MmapWalkStore::~MmapWalkStore() {
-#if OIPSIM_HAVE_MMAP
-  if (data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
+Status SaveWalkStore(const WalkStore& store, const std::string& path,
+                     bool compress) {
+  std::unique_ptr<WalkStore> reencoded;
+  const WalkStore* source = &store;
+  if (compress != store.compressed()) {
+    std::vector<uint32_t> walks(store.WalkWords() * store.meta().n);
+    OIPSIM_RETURN_IF_ERROR(MaterializeWalkTable(store, nullptr, 0,
+                                                store.meta().n, walks.data()));
+    reencoded = WalkStore::Encode(store.meta(), walks, compress);
+    source = reencoded.get();
+  } else {
+    OIPSIM_RETURN_IF_ERROR(store.VerifyPayload());
   }
+  return ReplaceFile(path, /*sync=*/true, [source](const std::string& tmp) {
+    return WriteFile(tmp, source->image());
+  });
+}
+
+// ----------------------------------------------------------------- store
+
+WalkStore::WalkStore() = default;
+
+WalkStore::~WalkStore() {
+#if OIPSIM_HAVE_MMAP
+  if (mapped_) ::munmap(const_cast<uint8_t*>(data_), size_);
 #endif
 }
 
-Result<std::unique_ptr<MmapWalkStore>> MmapWalkStore::Open(
-    const std::string& path) {
+Status WalkStore::Attach(size_t available) {
+  auto layout_or = ParseHeaderBytes(data_, available, size_, path_);
+  if (!layout_or.ok()) return layout_or.status();
+  const ParsedLayout& layout = *layout_or;
+  // The directory checksum's extent starts right after the header fields,
+  // covering the header page's padding.
+  if (DirectoryChecksum(data_ + kHeaderBytes,
+                        layout.segments_offset - kHeaderBytes) !=
+      layout.directory_checksum) {
+    return Status::ParseError(StrFormat(
+        "walk index directory checksum mismatch in %s (bytes %zu..%llu)",
+        path_.c_str(), kHeaderBytes,
+        static_cast<unsigned long long>(layout.segments_offset)));
+  }
+  seg_rel_ = reinterpret_cast<const uint64_t*>(data_ + layout.directory_offset);
+  inv_rel_ = seg_rel_ + layout.meta.n + 1;
+  OIPSIM_RETURN_IF_ERROR(ValidateDirectory(layout, seg_rel_, inv_rel_, path_));
+  meta_ = layout.meta;
+  compressed_ = layout.compressed;
+  payload_checksum_ = layout.payload_checksum;
+  segments_base_ = data_ + layout.segments_offset;
+  inverted_base_ = data_ + layout.inverted_offset;
+  // Checksum extents are the padded regions (the inverted region has no
+  // padding: its directory end is validated against the file end).
+  segments_bytes_ = layout.inverted_offset - layout.segments_offset;
+  inverted_bytes_ = layout.file_size - layout.inverted_offset;
+  directory_bytes_ = layout.directory_bytes;
+  return Status::OK();
+}
+
+Result<std::unique_ptr<WalkStore>> WalkStore::Load(const std::string& path) {
+  std::unique_ptr<WalkStore> store(new WalkStore());
+  store->path_ = path;
+  OIPSIM_RETURN_IF_ERROR(ReadFileBytes(path, &store->owned_));
+  store->data_ = store->owned_.data();
+  store->size_ = store->owned_.size();
+  OIPSIM_RETURN_IF_ERROR(store->Attach(store->size_));
+  OIPSIM_RETURN_IF_ERROR(store->CheckPayload());
+  return store;
+}
+
+Result<std::unique_ptr<WalkStore>> WalkStore::Map(const std::string& path) {
 #if OIPSIM_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::IoError("cannot open: " + path);
@@ -844,41 +719,20 @@ Result<std::unique_ptr<MmapWalkStore>> MmapWalkStore::Open(
 
   // From here on the mapping is owned by the store, so every error path
   // unmaps through the destructor.
-  std::unique_ptr<MmapWalkStore> store(new MmapWalkStore());
+  std::unique_ptr<WalkStore> store(new WalkStore());
   store->path_ = path;
   store->data_ = static_cast<const uint8_t*>(map);
   store->size_ = size;
-
+  store->mapped_ = true;
   // Header + directory are the only pages read at open; the payload
   // regions stay untouched until a query faults them in.
-  const size_t header_available =
-      size < kHeaderBytes ? static_cast<size_t>(size) : kHeaderBytes;
-  auto layout_or =
-      ParseHeaderBytes(store->data_, header_available, size, path);
-  if (!layout_or.ok()) return layout_or.status();
-  const ParsedLayout& layout = *layout_or;
-
-  const uint64_t* seg_rel = nullptr;
-  const uint64_t* inv_rel = nullptr;
   OIPSIM_RETURN_IF_ERROR(
-      OpenDirectory(store->data_, layout, path, &seg_rel, &inv_rel));
-
-  store->meta_ = layout.meta;
-  store->compressed_ = layout.compressed;
-  store->payload_checksum_ = layout.payload_checksum;
-  store->seg_rel_ = seg_rel;
-  store->inv_rel_ = inv_rel;
-  store->segments_base_ = store->data_ + layout.segments_offset;
-  store->inverted_base_ = store->data_ + layout.inverted_offset;
-  // Checksum extents are the padded regions (the inverted region has no
-  // padding: its directory end is validated against the file end).
-  store->segments_bytes_ = layout.inverted_offset - layout.segments_offset;
-  store->inverted_bytes_ = layout.file_size - layout.inverted_offset;
-  store->directory_bytes_ = layout.directory_bytes;
+      store->Attach(std::min<uint64_t>(size, kHeaderBytes)));
   // The header and directory pages were just read and stay hot for the
   // lifetime of the store (every query walks the directory); telling the
   // kernel keeps them ahead of cold payload pages under memory pressure.
-  ::madvise(const_cast<uint8_t*>(store->data_), layout.segments_offset,
+  ::madvise(const_cast<uint8_t*>(store->data_),
+            static_cast<size_t>(store->segments_base_ - store->data_),
             MADV_WILLNEED);
   // Batched cold-read accelerator on its own descriptor (the mapping's fd
   // was just closed). Failure to reopen is tolerated: prefetch simply
@@ -889,11 +743,11 @@ Result<std::unique_ptr<MmapWalkStore>> MmapWalkStore::Open(
 #else
   (void)path;
   return Status::Unimplemented(
-      "MmapWalkStore requires POSIX mmap; use the in-memory backend");
+      "WalkStore::Map requires POSIX mmap; use WalkStore::Load");
 #endif
 }
 
-Status MmapWalkStore::DecodeVertex(VertexId v, uint32_t* out) const {
+Status WalkStore::DecodeVertex(VertexId v, uint32_t* out) const {
   OIPSIM_DCHECK(v < meta_.n);
   const uint64_t begin = seg_rel_[v];
   const uint64_t end = seg_rel_[v + 1];
@@ -903,7 +757,7 @@ Status MmapWalkStore::DecodeVertex(VertexId v, uint32_t* out) const {
                        path_, out);
 }
 
-WalkStore::SlotView MmapWalkStore::Slot(uint32_t r, uint32_t t) const {
+WalkStore::SlotView WalkStore::Slot(uint32_t r, uint32_t t) const {
   OIPSIM_DCHECK(r < meta_.num_fingerprints);
   OIPSIM_DCHECK(t >= 1 && t <= meta_.walk_length);
   const uint64_t s =
@@ -916,14 +770,15 @@ WalkStore::SlotView MmapWalkStore::Slot(uint32_t r, uint32_t t) const {
   return {positions, positions + count, count};
 }
 
-uint64_t MmapWalkStore::ResidentBytes() const {
-  // Heap footprint is negligible; the header and directory pages are the
-  // only part of the mapping open() forces resident.
-  return kPageSize + directory_bytes_;
+uint64_t WalkStore::ResidentBytes() const {
+  // A mapping's heap footprint is negligible; the header and directory
+  // pages are the only part of it open() forces resident.
+  return mapped_ ? kPageSize + directory_bytes_ : size_;
 }
 
-void MmapWalkStore::Prefetch(std::span<const VertexId> vertices) const {
+void WalkStore::Prefetch(std::span<const VertexId> vertices) const {
 #if OIPSIM_HAVE_MMAP
+  if (!mapped_) return;
   // Sorting first makes the page ranges monotone, so overlapping and
   // adjacent segments coalesce into one run per contiguous stretch — a
   // clustered warm list costs few submissions regardless of input order.
@@ -980,12 +835,15 @@ void MmapWalkStore::Prefetch(std::span<const VertexId> vertices) const {
 #endif
 }
 
-void MmapWalkStore::PrefetchSlots() const {
+void WalkStore::PrefetchSlots() const {
 #if OIPSIM_HAVE_MMAP
   // Once per store: a cold single-source query walks R·L bucket lookups
   // scattered across the whole inverted region, the worst case for
   // one-page-at-a-time faulting.
-  if (slots_prefetched_.exchange(true, std::memory_order_relaxed)) return;
+  if (!mapped_ ||
+      slots_prefetched_.exchange(true, std::memory_order_relaxed)) {
+    return;
+  }
   const uint64_t inverted_abs =
       static_cast<uint64_t>(inverted_base_ - data_);
   if (reader_ != nullptr) {
@@ -1000,15 +858,23 @@ void MmapWalkStore::PrefetchSlots() const {
 #endif
 }
 
-bool MmapWalkStore::UsesIoUring() const {
+bool WalkStore::UsesIoUring() const {
   return reader_ != nullptr && reader_->using_io_uring();
 }
 
-Status MmapWalkStore::VerifyPayload() const {
+Status WalkStore::VerifyPayload() const {
+  return mapped_ ? CheckPayload() : Status::OK();
+}
+
+Status WalkStore::CheckPayload() const {
   if (PayloadChecksum(segments_base_, segments_bytes_, inverted_base_,
                       inverted_bytes_) != payload_checksum_) {
-    return Status::ParseError(
-        "walk index payload checksum mismatch in " + path_);
+    return Status::ParseError(StrFormat(
+        "walk index payload checksum mismatch in %s (segments at %llu, "
+        "inverted index at %llu)",
+        path_.c_str(),
+        static_cast<unsigned long long>(segments_base_ - data_),
+        static_cast<unsigned long long>(inverted_base_ - data_)));
   }
   return Status::OK();
 }

@@ -1,5 +1,5 @@
 // Storage layer of the walk index: the versioned v2 segmented on-disk
-// format and the two backends that serve it.
+// format and the store that serves it.
 //
 // Version 2 reorganises the v1 flat walk table into per-vertex *segments*
 // (optionally delta+varint-compressed: a pair query touches two contiguous
@@ -29,11 +29,16 @@
 // directory (an extent that starts right after the header fields, so the
 // header page's alignment padding is covered too), and over the two
 // payload regions — together they cover every byte of the file.
-// InMemoryWalkStore (full read at open)
-// verifies all three; MmapWalkStore verifies header + directory only — by
-// design it never reads the payload at open (pages fault in on demand) —
-// and defends every decode with bounds checks instead; VerifyPayload()
-// performs the full payload sweep on request.
+//
+// A WalkStore serves one v2 byte image, wherever its bytes live. A
+// default load reads the file into an owned buffer and verifies all three
+// checksums; nothing is decoded, so the resident bytes are the file size.
+// A mapped store verifies header + directory only — by design it never
+// reads the payload at open (pages fault in on demand) — and defends
+// every decode with bounds checks instead; VerifyPayload() performs the
+// full payload sweep on request. Build, compaction and shard splitting
+// hand their flat walk tables to the one encoder (WalkStore::Encode),
+// which produces the same owned image a load of its saved file would.
 #ifndef OIPSIM_SIMRANK_INDEX_WALK_STORE_H_
 #define OIPSIM_SIMRANK_INDEX_WALK_STORE_H_
 
@@ -71,14 +76,38 @@ struct WalkStoreMeta {
 };
 
 /// Read-only access to one graph's stored walks and their inverted
-/// position index. Implementations are immutable after construction and
-/// thread-safe for concurrent reads.
+/// position index, served from a v2 image that is either owned (read in
+/// full, or freshly encoded) or mapped from its file. Immutable after
+/// construction and thread-safe for concurrent reads.
 class WalkStore {
  public:
   /// Sentinel position of a walk that left a vertex with no in-neighbours.
   static constexpr uint32_t kDeadWalk = UINT32_MAX;
 
-  virtual ~WalkStore() = default;
+  /// Encodes a flat walk table into an owned image: the position after t
+  /// steps of fingerprint r's walk from v is walks[(r·(L+1) + t)·n + v]
+  /// (kDeadWalk from the step the walk died onwards). Segments
+  /// (delta+varint-compressed when `compress`) and the counting-sorted
+  /// inverted index are built on `num_threads` workers (0 = hardware
+  /// concurrency). The bytes depend only on (meta, walks, compress) —
+  /// they are exactly the saved file.
+  static std::unique_ptr<WalkStore> Encode(const WalkStoreMeta& meta,
+                                           std::span<const uint32_t> walks,
+                                           bool compress,
+                                           uint32_t num_threads = 1);
+
+  /// Reads a v2 file into an owned image and verifies all three
+  /// checksums. Nothing is decoded: ResidentBytes() is the file size.
+  static Result<std::unique_ptr<WalkStore>> Load(const std::string& path);
+
+  /// Maps a v2 file read-only: open reads only the header and directory,
+  /// the payload faults in on demand. POSIX-only (Status::Unimplemented
+  /// elsewhere).
+  static Result<std::unique_ptr<WalkStore>> Map(const std::string& path);
+
+  ~WalkStore();
+  WalkStore(const WalkStore&) = delete;
+  WalkStore& operator=(const WalkStore&) = delete;
 
   const WalkStoreMeta& meta() const { return meta_; }
 
@@ -89,13 +118,22 @@ class WalkStore {
            (meta_.walk_length + 1);
   }
 
+  /// Whether the segments are delta+varint-compressed.
+  bool compressed() const { return compressed_; }
+
+  /// Whether the image is a file mapping (Map) rather than owned.
+  bool mapped() const { return mapped_; }
+
+  /// The whole v2 image — the bytes of the index file.
+  std::span<const uint8_t> image() const { return {data_, size_}; }
+
   /// Decodes every walk of vertex `v` into `out` (capacity WalkWords()):
   /// out[r·(L+1) + t] is the position after t steps of fingerprint r's
   /// walk, kDeadWalk from the step the walk died onwards; out[r·(L+1)]
   /// is always v. Returns a ParseError naming the corrupt byte offset when
-  /// the backing bytes are malformed (reachable only on the mmap backend,
+  /// the backing bytes are malformed (reachable only on a mapped store,
   /// whose payload is not checksummed at open).
-  virtual Status DecodeVertex(VertexId v, uint32_t* out) const = 0;
+  Status DecodeVertex(VertexId v, uint32_t* out) const;
 
   /// One slot of the inverted index: the alive walks at (fingerprint r,
   /// step t), as parallel arrays sorted by (position, vertex).
@@ -106,7 +144,7 @@ class WalkStore {
   };
 
   /// Slot accessor; r < num_fingerprints, 1 <= t <= walk_length.
-  virtual SlotView Slot(uint32_t r, uint32_t t) const = 0;
+  SlotView Slot(uint32_t r, uint32_t t) const;
 
   /// The vertices whose fingerprint-r walk sits at `position` after t
   /// steps, ascending — the output-sensitive single-source path iterates
@@ -114,141 +152,54 @@ class WalkStore {
   std::span<const VertexId> Bucket(uint32_t r, uint32_t t,
                                    uint32_t position) const;
 
-  /// The resident flat v1-layout walk table ((r,t)-major, see
-  /// WalkIndex::EstimateSingleSourceScan), or nullptr when the backend
-  /// does not keep the walks decoded in RAM.
-  virtual const uint32_t* FlatWalks() const { return nullptr; }
-
-  /// Start of slot (r, t) — the n per-vertex positions of fingerprint r
-  /// after t steps — within FlatWalks(). The single point of truth for
-  /// the flat table's (r,t)-major layout.
-  size_t FlatSlot(uint32_t r, uint32_t t) const {
-    return (static_cast<size_t>(r) * (meta_.walk_length + 1) + t) *
-           meta_.n;
-  }
-
-  /// Heap (plus, for mmap, unavoidably-touched page) bytes this store
-  /// keeps resident, independent of what the kernel has faulted in.
-  virtual uint64_t ResidentBytes() const = 0;
+  /// Bytes this store keeps resident independent of what the kernel has
+  /// faulted in: the whole image when owned, the header and directory
+  /// pages when mapped.
+  uint64_t ResidentBytes() const;
 
   /// Advises the OS to fault in the walk segments of `vertices` ahead of
-  /// queries (madvise(MADV_WILLNEED) on the mmap backend, one call per
-  /// coalesced page range). Purely a scheduling hint: results are
-  /// identical with or without it. No-op on backends that are already
-  /// resident.
-  virtual void Prefetch(std::span<const VertexId> vertices) const {
-    (void)vertices;
-  }
+  /// queries (one batched read or madvise(MADV_WILLNEED) per coalesced
+  /// page range of a mapping). Purely a scheduling hint: results are
+  /// identical with or without it. No-op on an owned image.
+  void Prefetch(std::span<const VertexId> vertices) const;
 
   /// Advises the OS to fault in the whole inverted-index region, which an
-  /// output-sensitive single-source query walks bucket by bucket. Backends
-  /// that are already resident no-op; the mmap backend issues the
-  /// readahead once per store lifetime. Purely a hint, like Prefetch.
-  virtual void PrefetchSlots() const {}
+  /// output-sensitive single-source query walks bucket by bucket — once
+  /// per mapped store lifetime. A hint like Prefetch; no-op when owned.
+  void PrefetchSlots() const;
 
   /// True when cold reads of this store are currently serviced through an
-  /// io_uring (mmap backend with a live ring); diagnostics only.
-  virtual bool UsesIoUring() const { return false; }
+  /// io_uring (a mapping with a live ring); diagnostics only.
+  bool UsesIoUring() const;
 
-  /// Recomputes the payload checksum against the header's. The in-memory
-  /// backend verified it at open and returns OK immediately; the mmap
-  /// backend performs the full payload read this entails.
-  virtual Status VerifyPayload() const { return Status::OK(); }
+  /// Recomputes the payload checksum against the header's. An owned image
+  /// was verified at load (or produced by the encoder) and returns OK
+  /// immediately; a mapping performs the full payload read this entails.
+  Status VerifyPayload() const;
 
-  /// "in-memory" or "mmap"; bench and diagnostics labels.
-  virtual const char* backend_name() const = 0;
+  /// "in-memory" (owned image) or "mmap"; stats and diagnostics labels.
+  const char* backend_name() const { return mapped_ ? "mmap" : "in-memory"; }
 
- protected:
-  WalkStore() = default;
+ private:
+  WalkStore();
+
+  /// Parses and validates the header and directory of the image at
+  /// data_/size_ (`available` of its bytes readable up front) and points
+  /// the views into it.
+  Status Attach(size_t available);
+  /// The payload checksum sweep behind Load and VerifyPayload.
+  Status CheckPayload() const;
 
   WalkStoreMeta meta_;
-};
-
-/// Serialization knobs of SaveWalkStore.
-struct WalkStoreSaveOptions {
-  /// Delta+varint-compress the per-vertex segments (the inverted index
-  /// stays raw for O(log n) mmap bucket lookups). Roughly halves the
-  /// segment region on web-style graphs at a small decode cost.
-  bool compress = false;
-};
-
-/// Writes `store` as a v2 index file. Deterministic: equal stores and
-/// options produce byte-identical files, regardless of backend.
-Status SaveWalkStore(const WalkStore& store, const std::string& path,
-                     const WalkStoreSaveOptions& options = {});
-
-/// Backend that materialises the full walk table (and inverted index) in
-/// RAM — v1's serving behavior, still bit-deterministic, fastest per
-/// query; open cost and footprint are linear in the payload.
-class InMemoryWalkStore final : public WalkStore {
- public:
-  /// Wraps a freshly built flat walk table (v1 layout, see FlatWalks) and
-  /// constructs the inverted index from it, parallelised across
-  /// `num_threads` (0 = hardware concurrency) with thread-count-independent
-  /// output.
-  InMemoryWalkStore(const WalkStoreMeta& meta, std::vector<uint32_t> walks,
-                    uint32_t num_threads = 1);
-
-  /// Reads and fully verifies (all three checksums) a v2 file, decoding
-  /// every segment into the resident flat table. The per-vertex decode —
-  /// the dominant cost of a cold open — is parallelised over disjoint
-  /// vertex ranges across `num_threads` workers (0 = hardware
-  /// concurrency); every thread count produces a bitwise-identical store
-  /// and, on corrupt input, the same first-corrupt-vertex error as the
-  /// serial pass.
-  static Result<std::unique_ptr<InMemoryWalkStore>> Open(
-      const std::string& path, uint32_t num_threads = 0);
-
-  Status DecodeVertex(VertexId v, uint32_t* out) const override;
-  SlotView Slot(uint32_t r, uint32_t t) const override;
-  const uint32_t* FlatWalks() const override { return walks_.data(); }
-  uint64_t ResidentBytes() const override;
-  const char* backend_name() const override { return "in-memory"; }
-
- private:
-  InMemoryWalkStore() = default;
-
-  void BuildInverted(uint32_t num_threads);
-
-  /// Flat walk table: position after t steps of fingerprint r's walk from
-  /// v lives at walks_[(r·(L+1) + t)·n + v].
-  std::vector<uint32_t> walks_;
-  /// Inverted index: slot s = r·L + (t-1) occupies entry range
-  /// [slot_offsets_[s], slot_offsets_[s+1]) of the two parallel arrays.
-  std::vector<uint64_t> slot_offsets_;
-  std::vector<uint32_t> inverted_positions_;
-  std::vector<uint32_t> inverted_vertices_;
-};
-
-/// Backend that maps the file and serves straight from the page cache:
-/// open reads only the header and directory, the payload faults in on
-/// demand. Segments are decoded per access; buckets are binary searches
-/// over the mapped arrays. POSIX-only (Status::Unimplemented elsewhere).
-class MmapWalkStore final : public WalkStore {
- public:
-  static Result<std::unique_ptr<MmapWalkStore>> Open(
-      const std::string& path);
-
-  ~MmapWalkStore() override;
-
-  Status DecodeVertex(VertexId v, uint32_t* out) const override;
-  SlotView Slot(uint32_t r, uint32_t t) const override;
-  uint64_t ResidentBytes() const override;
-  Status VerifyPayload() const override;
-  void Prefetch(std::span<const VertexId> vertices) const override;
-  void PrefetchSlots() const override;
-  bool UsesIoUring() const override;
-  const char* backend_name() const override { return "mmap"; }
-
- private:
-  MmapWalkStore();
-
   std::string path_;
-  const uint8_t* data_ = nullptr;  // whole-file read-only mapping
+  /// The image when owned; empty for a mapping.
+  std::vector<uint8_t> owned_;
+  const uint8_t* data_ = nullptr;  // owned_.data() or the whole-file mapping
   size_t size_ = 0;
+  bool mapped_ = false;
   bool compressed_ = false;
   uint64_t payload_checksum_ = 0;
-  // Directory views into the mapping.
+  // Directory views into the image.
   const uint64_t* seg_rel_ = nullptr;  // n + 1 entries
   const uint64_t* inv_rel_ = nullptr;  // R·L + 1 entries
   const uint8_t* segments_base_ = nullptr;
@@ -256,12 +207,20 @@ class MmapWalkStore final : public WalkStore {
   uint64_t segments_bytes_ = 0;
   uint64_t inverted_bytes_ = 0;
   uint64_t directory_bytes_ = 0;
-  /// Batched cold-read accelerator over the same file (own descriptor;
-  /// the mapping's fd is closed right after mmap). Null when the file
-  /// could not be reopened — prefetch then falls back to madvise.
+  /// Batched cold-read accelerator over a mapped file (own descriptor;
+  /// the mapping's fd is closed right after mmap). Null when owned or the
+  /// file could not be reopened — prefetch then falls back to madvise.
   std::unique_ptr<SegmentReader> reader_;
   mutable std::atomic<bool> slots_prefetched_{false};
 };
+
+/// Writes `store`'s image to `path` — re-encoded first when `compress`
+/// differs from the image's encoding — through a synced temporary file
+/// renamed into place (ReplaceFile), so a reader mapping the old file
+/// keeps its bytes. A mapped store's payload is verified first.
+/// Deterministic: equal walks and encodings give byte-identical files.
+Status SaveWalkStore(const WalkStore& store, const std::string& path,
+                     bool compress);
 
 /// Header/directory summary of an index file, readable without loading
 /// (or even mapping) the payload. Powers `simrank_cli index-info`.

@@ -52,6 +52,8 @@ WalkIndex BuildSaveLoad(const DiGraph& graph, const WalkIndexOptions& options,
 void ExpectBitwiseEquivalent(const WalkIndex& index,
                              const WalkIndex& rebuilt) {
   const uint32_t n = index.n();
+  const std::vector<uint32_t> walks =
+      index.WalkTable(index.overlay_snapshot().get());
   for (VertexId v = 0; v < n; ++v) {
     const std::vector<double> patched = index.EstimateSingleSource(v);
     const std::vector<double> fresh = rebuilt.EstimateSingleSource(v);
@@ -60,13 +62,11 @@ void ExpectBitwiseEquivalent(const WalkIndex& index,
                           patched.size() * sizeof(double)),
               0)
         << "single-source row of " << v << " diverges from rebuild";
-    if (index.has_resident_walks()) {
-      const std::vector<double> scan = index.EstimateSingleSourceScan(v);
-      ASSERT_EQ(std::memcmp(patched.data(), scan.data(),
-                            patched.size() * sizeof(double)),
-                0)
-          << "scan and inverted paths disagree under overlay at " << v;
-    }
+    const std::vector<double> scan = index.EstimateSingleSourceScan(v, walks);
+    ASSERT_EQ(std::memcmp(patched.data(), scan.data(),
+                          patched.size() * sizeof(double)),
+              0)
+        << "scan and inverted paths disagree under overlay at " << v;
     for (VertexId b = 0; b < n; ++b) {
       const double pair = index.EstimatePair(v, b);
       const double fresh_pair = rebuilt.EstimatePair(v, b);

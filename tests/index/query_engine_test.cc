@@ -191,7 +191,7 @@ TEST(QueryEngineTest, MmapBackedEngineAnswersIdentically) {
   load.use_mmap = true;
   auto mapped = WalkIndex::Load(path, load);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_FALSE(mapped->has_resident_walks());
+  ASSERT_TRUE(mapped->store().mapped());
 
   QueryEngine resident_engine(index);
   QueryEngine mapped_engine(*mapped);

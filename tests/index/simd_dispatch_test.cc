@@ -149,8 +149,8 @@ TEST_P(SimdDispatchTest, EveryTierServesByteIdenticalAnswers) {
   for (const char* tier : RunnableTiers()) {
     SCOPED_TRACE(tier);
     ScopedSimdLevel forced(tier);
-    // Open fresh per tier so the load-time decode (in-memory backend) runs
-    // under the tier as well, not just the serve path.
+    // Open fresh per tier so the load-time checks run under the tier as
+    // well, not just the serve path.
     auto index = WalkIndex::Load(path, load);
     ASSERT_TRUE(index.ok()) << index.status().message();
     ExpectIdentical(Snapshot(*index), reference, tier);
@@ -206,7 +206,7 @@ TEST_P(SimdDispatchTest, CorruptionDiagnosticsMatchAcrossTiers) {
     std::string ref_verify_error;
     {
       ScopedSimdLevel forced("scalar");
-      auto store = MmapWalkStore::Open(path);
+      auto store = WalkStore::Map(path);
       ref_open_ok = store.ok();
       if (!ref_open_ok) {
         ref_open_error = store.status().ToString();
@@ -221,7 +221,7 @@ TEST_P(SimdDispatchTest, CorruptionDiagnosticsMatchAcrossTiers) {
     for (const char* tier : RunnableTiers()) {
       SCOPED_TRACE(std::string(tier) + " offset=" + std::to_string(offset));
       ScopedSimdLevel forced(tier);
-      auto store = MmapWalkStore::Open(path);
+      auto store = WalkStore::Map(path);
       ASSERT_EQ(store.ok(), ref_open_ok);
       if (!store.ok()) {
         EXPECT_EQ(store.status().ToString(), ref_open_error);

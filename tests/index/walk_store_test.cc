@@ -60,10 +60,12 @@ void CheckRoundTrip(const DiGraph& graph, const WalkIndex& index,
   auto mapped = WalkIndex::Load(path, mmap_load);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  EXPECT_TRUE(ram->has_resident_walks());
-  EXPECT_FALSE(mapped->has_resident_walks());
+  EXPECT_FALSE(ram->store().mapped());
+  EXPECT_TRUE(mapped->store().mapped());
   EXPECT_EQ(std::string(ram->store().backend_name()), "in-memory");
   EXPECT_EQ(std::string(mapped->store().backend_name()), "mmap");
+  // A default load holds the file's image and nothing decoded from it.
+  EXPECT_EQ(ram->SizeBytes(), ReadFileBytes(path).size());
 
   for (VertexId a = 0; a < graph.n(); ++a) {
     for (VertexId b = 0; b < graph.n(); ++b) {
@@ -74,8 +76,9 @@ void CheckRoundTrip(const DiGraph& graph, const WalkIndex& index,
           << tag << " pair (" << a << "," << b << ")";
     }
   }
+  const std::vector<uint32_t> walks = index.WalkTable(nullptr);
   for (VertexId v = 0; v < graph.n(); ++v) {
-    const auto scan = index.EstimateSingleSourceScan(v);
+    const auto scan = index.EstimateSingleSourceScan(v, walks);
     const auto built_inverted = index.EstimateSingleSource(v);
     const auto ram_inverted = ram->EstimateSingleSource(v);
     const auto mapped_inverted = mapped->EstimateSingleSource(v);
@@ -141,23 +144,26 @@ TEST(WalkStoreTest, ResaveThroughAnyBackendIsByteIdentical) {
   }
 }
 
-TEST(WalkStoreTest, BucketsMatchTheFlatTable) {
+TEST(WalkStoreTest, BucketsMatchTheDecodedRows) {
   DiGraph graph = testing::RandomGraph(35, 120, 21);
   WalkIndex index = BuildSmallIndex(graph);
   const WalkStore& store = index.store();
-  const uint32_t* flat = store.FlatWalks();
-  ASSERT_NE(flat, nullptr);
   const uint32_t n = graph.n();
   const uint32_t L = index.options().walk_length;
+  std::vector<std::vector<uint32_t>> rows(
+      n, std::vector<uint32_t>(store.WalkWords()));
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_TRUE(store.DecodeVertex(v, rows[v].data()).ok());
+  }
   for (uint32_t r = 0; r < index.options().num_fingerprints; ++r) {
     for (uint32_t t = 1; t <= L; ++t) {
-      const size_t base = (static_cast<size_t>(r) * (L + 1) + t) * n;
+      auto position = [&](VertexId v) { return rows[v][r * (L + 1) + t]; };
       // The slot must list exactly the alive walks, sorted by (position,
       // vertex).
       const WalkStore::SlotView slot = store.Slot(r, t);
       size_t alive = 0;
       for (uint32_t v = 0; v < n; ++v) {
-        alive += flat[base + v] != WalkStore::kDeadWalk;
+        alive += position(v) != WalkStore::kDeadWalk;
       }
       ASSERT_EQ(slot.count, alive);
       for (size_t i = 0; i + 1 < slot.count; ++i) {
@@ -167,14 +173,14 @@ TEST(WalkStoreTest, BucketsMatchTheFlatTable) {
         }
       }
       for (size_t i = 0; i < slot.count; ++i) {
-        ASSERT_EQ(flat[base + slot.vertices[i]], slot.positions[i]);
+        ASSERT_EQ(position(slot.vertices[i]), slot.positions[i]);
       }
       // Every bucket returns exactly the vertices parked at the position.
       for (uint32_t p = 0; p < n; ++p) {
         auto bucket = store.Bucket(r, t, p);
         std::vector<uint32_t> expected;
         for (uint32_t v = 0; v < n; ++v) {
-          if (flat[base + v] == p) expected.push_back(v);
+          if (position(v) == p) expected.push_back(v);
         }
         ASSERT_EQ(bucket.size(), expected.size())
             << "slot (" << r << "," << t << ") position " << p;
@@ -193,7 +199,7 @@ TEST(WalkStoreTest, DecodeVertexAgreesAcrossBackends) {
   WalkIndex::SaveOptions save;
   save.compress = true;
   ASSERT_TRUE(index.Save(path, save).ok());
-  auto mapped_store = MmapWalkStore::Open(path);
+  auto mapped_store = WalkStore::Map(path);
   ASSERT_TRUE(mapped_store.ok());
   const WalkStore& built = index.store();
   std::vector<uint32_t> expected(built.WalkWords());
@@ -221,7 +227,8 @@ TEST(WalkStoreTest, MmapOpenKeepsOnlyHeaderAndDirectoryResident) {
   // The mmap backend pins the header page plus the directory; the payload
   // must not count toward its resident footprint.
   EXPECT_LT(mapped->SizeBytes(), file_bytes / 2);
-  // The in-memory backend holds at least the decoded flat table.
+  // A default load holds the whole image — on this uncompressed file
+  // more than the flat walk table would take.
   auto ram = WalkIndex::Load(path);
   ASSERT_TRUE(ram.ok());
   EXPECT_GE(ram->SizeBytes(),
@@ -599,12 +606,11 @@ TEST(WalkStoreTest, HeaderDeclaringUnbackedWalkTableIsRejected) {
   }
 }
 
-TEST(WalkStoreTest, OversizedDecodeRefusedInMemoryButServableViaMmap) {
+TEST(WalkStoreTest, OversizedDecodeIsServable) {
   // A fully consistent (all three checksums valid) compressed index whose
   // all-dead walks and huge-but-legal walk length decode to ~2.4 GiB from
-  // a ~5 MiB file. The in-memory backend must refuse the materialization
-  // under its load budget; the mmap backend — which never builds the flat
-  // table — must serve it.
+  // a ~5 MiB file. No store ever builds that flat table, so both loads
+  // must serve it.
   constexpr uint32_t kN = 1024;
   constexpr uint32_t kR = 64;
   constexpr uint32_t kL = 10000;
@@ -657,21 +663,16 @@ TEST(WalkStoreTest, OversizedDecodeRefusedInMemoryButServableViaMmap) {
   const std::string path = TempPath("store_oversized.widx");
   WriteFileBytes(path, bytes);
 
-  auto ram = WalkIndex::Load(path);
-  ASSERT_FALSE(ram.ok());
-  EXPECT_NE(ram.status().message().find("refusing the in-memory load"),
-            std::string::npos)
-      << ram.status().ToString();
-  EXPECT_NE(ram.status().message().find("mmap"), std::string::npos);
-
-  WalkIndex::LoadOptions mmap_load;
-  mmap_load.use_mmap = true;
-  auto mapped = WalkIndex::Load(path, mmap_load);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(mapped->store().VerifyPayload().ok());
-  // All walks are dead at step 1, so every off-diagonal estimate is 0.
-  EXPECT_DOUBLE_EQ(mapped->EstimatePair(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(mapped->EstimatePair(5, 5), 1.0);
+  for (bool use_mmap : {false, true}) {
+    WalkIndex::LoadOptions load;
+    load.use_mmap = use_mmap;
+    auto loaded = WalkIndex::Load(path, load);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_TRUE(loaded->store().VerifyPayload().ok());
+    // All walks are dead at step 1, so every off-diagonal estimate is 0.
+    EXPECT_DOUBLE_EQ(loaded->EstimatePair(0, 1), 0.0);
+    EXPECT_DOUBLE_EQ(loaded->EstimatePair(5, 5), 1.0);
+  }
 }
 
 TEST(WalkStoreTest, InfoReflectsTheSavedHeader) {
@@ -705,99 +706,41 @@ TEST(WalkStoreTest, InfoReflectsTheSavedHeader) {
   EXPECT_FALSE(ReadWalkIndexInfo("/no/such/index.widx").ok());
 }
 
-TEST(WalkStoreTest, ParallelOpenMatchesSerialBitwise) {
-  // Big enough that the parallel path actually splits into blocks.
-  DiGraph graph = testing::RandomGraph(257, 1400, 23);
-  WalkIndex index = BuildSmallIndex(graph);
-  const std::string path = TempPath("store_parallel_open.widx");
-  WalkIndex::SaveOptions save;
-  save.compress = true;
-  ASSERT_TRUE(index.Save(path, save).ok());
+TEST(WalkStoreTest, SaveOverAMappedFileLeavesTheMappingIntact) {
+  // Index B is saved over the path index A is mapped from. The save must
+  // replace the file, not rewrite it in place: A's mapping keeps A's
+  // bytes, and a fresh open sees B.
+  DiGraph graph = testing::RandomGraph(40, 160, 17);
+  WalkIndex a = BuildSmallIndex(graph);
+  WalkIndexOptions options = a.options();
+  options.seed = 6;  // same geometry and file size, different walks
+  auto b = WalkIndex::Build(graph, options);
+  ASSERT_TRUE(b.ok());
+  const std::string path = TempPath("store_save_over_mapping.widx");
+  ASSERT_TRUE(a.Save(path).ok());
+  WalkIndex::LoadOptions mmap_load;
+  mmap_load.use_mmap = true;
+  auto mapped = WalkIndex::Load(path, mmap_load);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
 
-  auto serial = InMemoryWalkStore::Open(path, 1);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  const WalkStoreMeta& meta = (*serial)->meta();
-  const size_t total_words = (*serial)->WalkWords() * meta.n;
-  for (const uint32_t threads : {2u, 3u, 8u}) {
-    auto parallel = InMemoryWalkStore::Open(path, threads);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(std::memcmp((*serial)->FlatWalks(), (*parallel)->FlatWalks(),
-                          total_words * sizeof(uint32_t)),
-              0)
-        << "flat walk table differs at " << threads << " threads";
-    EXPECT_EQ((*serial)->ResidentBytes(), (*parallel)->ResidentBytes());
-    for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
-      for (uint32_t t = 1; t <= meta.walk_length; ++t) {
-        const WalkStore::SlotView lhs = (*serial)->Slot(r, t);
-        const WalkStore::SlotView rhs = (*parallel)->Slot(r, t);
-        ASSERT_EQ(lhs.count, rhs.count);
-        ASSERT_EQ(std::memcmp(lhs.positions, rhs.positions,
-                              lhs.count * sizeof(uint32_t)),
-                  0);
-        ASSERT_EQ(std::memcmp(lhs.vertices, rhs.vertices,
-                              lhs.count * sizeof(uint32_t)),
-                  0);
-      }
-    }
+  ASSERT_TRUE(b->Save(path).ok());
+  const WalkStore& store = mapped->store();
+  std::vector<uint32_t> expected(store.WalkWords());
+  std::vector<uint32_t> actual(store.WalkWords());
+  size_t rows_b_differs = 0;
+  for (VertexId v = 0; v < graph.n(); ++v) {
+    ASSERT_TRUE(a.store().DecodeVertex(v, expected.data()).ok());
+    ASSERT_TRUE(store.DecodeVertex(v, actual.data()).ok()) << "vertex " << v;
+    EXPECT_EQ(actual, expected) << "vertex " << v;
+    std::vector<uint32_t> row_b(store.WalkWords());
+    ASSERT_TRUE(b->store().DecodeVertex(v, row_b.data()).ok());
+    rows_b_differs += row_b != expected;
   }
-}
-
-TEST(WalkStoreTest, ParallelOpenReportsTheSerialFirstCorruptVertex) {
-  // Two corrupt segments with checksums made consistent again, so the
-  // decode (not the checksum sweep) is what fails: every thread count
-  // must report the *first* corrupt vertex, exactly like the serial pass.
-  DiGraph graph = testing::RandomGraph(64, 300, 9);
-  WalkIndex index = BuildSmallIndex(graph);
-  const std::string path = TempPath("store_parallel_corrupt_src.widx");
-  WalkIndex::SaveOptions save;
-  save.compress = true;
-  ASSERT_TRUE(index.Save(path, save).ok());
-  auto info = ReadWalkIndexInfo(path);
-  ASSERT_TRUE(info.ok());
-  std::string bytes = ReadFileBytes(path);
-  const size_t segments_offset =
-      info->file_bytes - info->inverted_bytes - info->segment_bytes;
-  const size_t inverted_offset = info->file_bytes - info->inverted_bytes;
-  const auto* seg_rel =
-      reinterpret_cast<const uint64_t*>(bytes.data() + 4096);
-  // Five 0xFF bytes: an over-long varint32, malformed for any suffix.
-  for (const uint32_t victim : {19u, 47u}) {
-    for (size_t i = 0; i < 5; ++i) {
-      bytes[segments_offset + seg_rel[victim] + i] =
-          static_cast<char>(0xFF);
-    }
-  }
-  // Re-seal payload and header checksums the way the writer computes them.
-  StreamHasher payload_hasher(0x5349574b32504159ULL);
-  payload_hasher.AbsorbBytes(
-      reinterpret_cast<const uint8_t*>(bytes.data()) + segments_offset,
-      info->segment_bytes);
-  payload_hasher.AbsorbBytes(
-      reinterpret_cast<const uint8_t*>(bytes.data()) + inverted_offset,
-      info->inverted_bytes);
-  const uint64_t payload_checksum = payload_hasher.digest();
-  std::memcpy(bytes.data() + 80, &payload_checksum,
-              sizeof(payload_checksum));
-  StreamHasher header_hasher(0x5349574b32484452ULL);
-  header_hasher.AbsorbBytes(reinterpret_cast<const uint8_t*>(bytes.data()),
-                            96);
-  const uint64_t header_checksum = header_hasher.digest();
-  std::memcpy(bytes.data() + 96, &header_checksum,
-              sizeof(header_checksum));
-  const std::string corrupt_path = TempPath("store_parallel_corrupt.widx");
-  WriteFileBytes(corrupt_path, bytes);
-
-  auto serial = InMemoryWalkStore::Open(corrupt_path, 1);
-  ASSERT_FALSE(serial.ok());
-  EXPECT_NE(serial.status().message().find("vertex 19"), std::string::npos)
-      << serial.status().ToString();
-  for (const uint32_t threads : {2u, 8u}) {
-    auto parallel = InMemoryWalkStore::Open(corrupt_path, threads);
-    ASSERT_FALSE(parallel.ok());
-    EXPECT_EQ(parallel.status(), serial.status())
-        << "threads=" << threads << ": "
-        << parallel.status().ToString();
-  }
+  EXPECT_GT(rows_b_differs, 0u);  // the check above could see a change
+  EXPECT_TRUE(store.VerifyPayload().ok());
+  EXPECT_EQ(ReadFileBytes(path),
+            std::string(reinterpret_cast<const char*>(b->store().image().data()),
+                        b->store().image().size()));
 }
 
 TEST(WalkStoreTest, PrefetchIsAHintThatChangesNothing) {

@@ -6,7 +6,7 @@
 //                        [--bind=127.0.0.1] [--threads=T]
 //                        [--max-inflight=N] [--endpoint-inflight=N]
 //                        [--cache-shards=S] [--cache-capacity=C]
-//                        [--warm=FILE] [--load-threads=T]
+//                        [--warm=FILE]
 //                        [--graph=PATH --wal=PATH]
 //                        [--compact-to=PATH] [--compact-graph-to=PATH]
 //                        [--no-sync-wal] [--no-uring]
@@ -64,7 +64,6 @@ namespace {
 struct ServerCliOptions {
   std::string index_path;
   bool use_mmap = false;
-  uint32_t load_threads = 0;
   uint32_t cache_shards = 0;    // 0 = engine default
   uint32_t cache_capacity = 0;  // 0 = engine default
   std::string warm_path;
@@ -88,7 +87,7 @@ void PrintUsage(const char* argv0) {
       "usage: %s serve --index=PATH [--mmap] [--port=8080]\n"
       "       [--bind=127.0.0.1] [--threads=T] [--max-inflight=N]\n"
       "       [--endpoint-inflight=N] [--cache-shards=S]\n"
-      "       [--cache-capacity=C] [--warm=FILE] [--load-threads=T]\n"
+      "       [--cache-capacity=C] [--warm=FILE]\n"
       "       [--graph=GRAPH --wal=WAL] [--compact-to=PATH]\n"
       "       [--compact-graph-to=PATH] [--no-sync-wal]\n"
       "       [--no-group-commit] [--group-commit-window-us=U]\n"
@@ -190,11 +189,6 @@ bool ParseArgs(int argc, char** argv, ServerCliOptions* options) {
       options->cache_capacity = static_cast<uint32_t>(u);
     } else if (simrank::StartsWith(arg, "--warm=")) {
       options->warm_path = value_of("--warm=");
-    } else if (simrank::StartsWith(arg, "--load-threads=")) {
-      if (!simrank::ParseUint64(value_of("--load-threads="), &u)) {
-        return false;
-      }
-      options->load_threads = static_cast<uint32_t>(u);
     } else if (simrank::StartsWith(arg, "--graph=")) {
       options->graph_path = value_of("--graph=");
     } else if (simrank::StartsWith(arg, "--wal=")) {
@@ -455,7 +449,6 @@ int RealMain(int argc, char** argv) {
 
   simrank::WalkIndex::LoadOptions load_options;
   load_options.use_mmap = options.use_mmap;
-  load_options.num_threads = options.load_threads;
   auto index = simrank::WalkIndex::Load(options.index_path, load_options);
   if (!index.ok()) {
     std::fprintf(stderr, "cannot load index: %s\n",
