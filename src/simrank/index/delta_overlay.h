@@ -147,6 +147,9 @@ class DeltaOverlay {
   uint64_t graph_fingerprint_ = 0;
   uint32_t walk_length_ = 0;
   uint64_t delta_entries_ = 0;
+  /// Sum of every patch's suffix length, kept as patches are inserted,
+  /// replaced and erased rather than re-summed per batch.
+  uint64_t suffix_words_ = 0;
   uint64_t resident_bytes_ = 0;
   /// See rebased_store().
   std::shared_ptr<const WalkStore> rebased_store_;
@@ -185,9 +188,9 @@ inline Status MaterializeRow(const WalkStore& store,
 /// Materializes rows [begin, end) under base+overlay into the flat walk
 /// table `walks`: n·WalkWords() words, the position after t steps of
 /// fingerprint r's walk from v at walks[(r·(L+1) + t)·n + v] — what
-/// WalkStore::Encode consumes and WalkIndex::EstimateSingleSourceScan
-/// scans. Columns outside the range are left as they are, so disjoint
-/// ranges may be filled concurrently.
+/// WalkStore::Encode consumes (shard splitting) and
+/// WalkIndex::EstimateSingleSourceScan scans. Columns outside the range
+/// are left as they are, so disjoint ranges may be filled concurrently.
 inline Status MaterializeWalkTable(const WalkStore& store,
                                    const DeltaOverlay* overlay,
                                    VertexId begin, VertexId end,

@@ -539,6 +539,7 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     overlay->patches_ = old->patches_;  // shared_ptr values: cheap copy
     overlay->patch_counts_ = old->patch_counts_;
     overlay->deltas_ = old->deltas_;
+    overlay->suffix_words_ = old->suffix_words_;
     overlay->rebased_store_ = old->rebased_store_;
   }
 
@@ -757,19 +758,27 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   }
 
   // Apply the patch outcomes in canonical order (ascending walk key; see
-  // above on why block concatenation preserves it).
+  // above on why block concatenation preserves it), keeping the suffix
+  // total in step with the patches they add, replace and drop.
   for (const WalkOutcome& outcome : outcomes) {
     const auto v = static_cast<VertexId>(outcome.key >> 32);
     switch (outcome.kind) {
       case WalkOutcome::Kind::kInsert:
         overlay->patches_[outcome.key] = outcome.patch;
+        overlay->suffix_words_ += outcome.patch->suffix.size();
         ++overlay->patch_counts_[v];
         break;
-      case WalkOutcome::Kind::kSet:
-        overlay->patches_[outcome.key] = outcome.patch;
+      case WalkOutcome::Kind::kSet: {
+        auto& patch = overlay->patches_[outcome.key];
+        overlay->suffix_words_ -= patch->suffix.size();
+        overlay->suffix_words_ += outcome.patch->suffix.size();
+        patch = outcome.patch;
         break;
+      }
       case WalkOutcome::Kind::kErase: {
-        overlay->patches_.erase(outcome.key);
+        auto patch = overlay->patches_.find(outcome.key);
+        overlay->suffix_words_ -= patch->second->suffix.size();
+        overlay->patches_.erase(patch);
         auto count = overlay->patch_counts_.find(v);
         if (--count->second == 0) overlay->patch_counts_.erase(count);
         break;
@@ -781,13 +790,10 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
   std::stable_sort(slot_edits.begin(), slot_edits.end());
   FoldSlotEdits(slot_edits, overlay.get());
 
-  uint64_t suffix_words = 0;
-  for (const auto& [patch_key, patch] : overlay->patches_) {
-    suffix_words += patch->suffix.size();
-  }
   overlay->resident_bytes_ = OverlayBytesFromCounts(
-      overlay->patches_.size(), suffix_words, overlay->patch_counts_.size(),
-      overlay->deltas_.size(), overlay->delta_entries_);
+      overlay->patches_.size(), overlay->suffix_words_,
+      overlay->patch_counts_.size(), overlay->deltas_.size(),
+      overlay->delta_entries_);
 
   // Publish: one pointer swap; concurrent queries either see the previous
   // overlay or this one, never a mixture. A batch that cancels every
@@ -926,42 +932,19 @@ Status IndexUpdater::CompactInternal(const std::string& path,
     if (!graph_path.empty()) out_copy = out_lists_;
   }
   const WalkStore& base = index_.ServingStore(snap.get());
-  WalkStoreMeta meta = base.meta();
-  meta.graph_fingerprint = snap_fingerprint;
+  const WalkStoreMeta& meta = base.meta();
 
   // Phase 2 — no update lock held: updates and queries proceed against
-  // the live overlay while the merged store is built. Materialize base +
-  // overlay as a flat walk table, exactly what Build() would have
-  // produced on the updated graph, and encode it through the same encoder
-  // — byte identity follows. Vertex ranges are disjoint, so the
-  // materialization fans out; the result is position-for-position
-  // identical for any thread count.
-  const uint32_t n = meta.n;
-  std::vector<uint32_t> walks(base.WalkWords() * n);
-  {
-    const size_t blocks =
-        pool_ != nullptr && n >= 2
-            ? std::min<size_t>(n, static_cast<size_t>(num_threads_) * 4)
-            : 1;
-    std::vector<Status> block_status(blocks, Status::OK());
-    auto materialize_block = [&](size_t b) {
-      block_status[b] = MaterializeWalkTable(
-          base, snap.get(), static_cast<VertexId>(n * b / blocks),
-          static_cast<VertexId>(n * (b + 1) / blocks), walks.data());
-    };
-    if (blocks > 1) {
-      pool_->ParallelFor(0, blocks,
-                         [&](uint64_t b) { materialize_block(b); });
-    } else {
-      materialize_block(0);
-    }
-    for (const Status& status : block_status) {
-      OIPSIM_RETURN_IF_ERROR(status);
-    }
-  }
-  std::shared_ptr<const WalkStore> merged =
-      WalkStore::Encode(meta, walks, save.compress, num_threads_);
-  std::vector<uint32_t>().swap(walks);
+  // the live overlay while the merged store is built. The merged encoder
+  // copies every unpatched segment and every slot without a diff from the
+  // base image and re-encodes only what the snapshot changed — the same
+  // bytes Build() would write on the updated graph, for any thread count.
+  WalkStore::MergeCounts merge_counts;
+  auto merged_or =
+      WalkStore::EncodeMerged(base, snap.get(), snap_fingerprint,
+                              save.compress, pool_.get(), &merge_counts);
+  OIPSIM_RETURN_IF_ERROR(merged_or.status());
+  std::shared_ptr<const WalkStore> merged = std::move(merged_or).value();
 
   // Index and graph each replace their file atomically — synced before
   // the rename and the directory after it when the WAL is synced — so
@@ -1011,6 +994,9 @@ Status IndexUpdater::CompactInternal(const std::string& path,
   uint64_t published_delta_entries = 0;
   uint64_t published_overlay_bytes = 0;
   bool published = false;
+  uint64_t wal_records = 0;
+  uint64_t wal_bytes = 0;
+  uint64_t wal_syncs = 0;
   {
     const auto pause_start = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -1028,18 +1014,27 @@ Status IndexUpdater::CompactInternal(const std::string& path,
         rebased->graph_fingerprint_ = current->graph_fingerprint_;
         // Diff every walk either patch set touches: merged-store value
         // (snapshot side) vs live value (current side), both expressed
-        // against the *old* base. Cost is proportional to the churn
-        // during the build window, never O(n).
+        // against the *old* base. A walk whose two sides hold the same
+        // patch object was not touched during the build window, so its
+        // merged and live positions agree at every step and it is
+        // skipped: cost is proportional to the churn during the build
+        // window, never to the overlay's size.
+        auto same_patch = [](const DeltaOverlay* other, uint64_t key,
+                             const DeltaOverlay::WalkPatch* patch) {
+          if (other == nullptr) return false;
+          auto it = other->patches_.find(key);
+          return it != other->patches_.end() && it->second.get() == patch;
+        };
         std::vector<uint64_t> keys;
-        keys.reserve((snap != nullptr ? snap->patches_.size() : 0) +
-                     current->patches_.size());
         if (snap != nullptr) {
           for (const auto& [key, patch] : snap->patches_) {
-            keys.push_back(key);
+            if (!same_patch(current.get(), key, patch.get())) {
+              keys.push_back(key);
+            }
           }
         }
         for (const auto& [key, patch] : current->patches_) {
-          keys.push_back(key);
+          if (!same_patch(snap.get(), key, patch.get())) keys.push_back(key);
         }
         std::sort(keys.begin(), keys.end());
         keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
@@ -1085,6 +1080,7 @@ Status IndexUpdater::CompactInternal(const std::string& path,
             patch.t0 = first;
             patch.suffix.assign(cur_row.begin() + first,
                                 cur_row.begin() + last + 1);
+            rebased->suffix_words_ += patch.suffix.size();
             rebased->patches_[key] =
                 std::make_shared<DeltaOverlay::WalkPatch>(std::move(patch));
             ++rebased->patch_counts_[v];
@@ -1093,12 +1089,8 @@ Status IndexUpdater::CompactInternal(const std::string& path,
         std::stable_sort(edits.begin(), edits.end());
         FoldSlotEdits(edits, rebased.get());
       }
-      uint64_t suffix_words = 0;
-      for (const auto& [patch_key, patch] : rebased->patches_) {
-        suffix_words += patch->suffix.size();
-      }
       rebased->resident_bytes_ = OverlayBytesFromCounts(
-          rebased->patches_.size(), suffix_words,
+          rebased->patches_.size(), rebased->suffix_words_,
           rebased->patch_counts_.size(), rebased->deltas_.size(),
           rebased->delta_entries_);
       published_sequence = rebased->sequence_;
@@ -1139,6 +1131,11 @@ Status IndexUpdater::CompactInternal(const std::string& path,
         records_ = std::move(tail);
       }
     }
+    // The WAL's counters move under mutex_ only; read them while it is
+    // still held.
+    wal_records = wal_.record_count();
+    wal_bytes = wal_.size_bytes();
+    wal_syncs = wal_.sync_count();
     pause_micros = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - pause_start)
@@ -1155,9 +1152,11 @@ Status IndexUpdater::CompactInternal(const std::string& path,
     ++stats_.compactions;
     stats_.last_compaction_micros = total_micros;
     stats_.last_compaction_pause_micros = pause_micros;
-    stats_.wal_records = wal_.record_count();
-    stats_.wal_bytes = wal_.size_bytes();
-    stats_.wal_syncs = wal_.sync_count();
+    stats_.last_compaction_vertices_encoded = merge_counts.vertices_encoded;
+    stats_.last_compaction_slots_merged = merge_counts.slots_merged;
+    stats_.wal_records = wal_records;
+    stats_.wal_bytes = wal_bytes;
+    stats_.wal_syncs = wal_syncs;
     if (published) {
       stats_.overlay_sequence = published_sequence;
       stats_.patched_vertices = published_patched_vertices;

@@ -166,6 +166,12 @@ struct IndexUpdateStats {
   /// compaction; queries never do).
   uint64_t last_compaction_micros = 0;
   uint64_t last_compaction_pause_micros = 0;
+  /// What the most recent compaction re-encoded; the rest of its image was
+  /// copied from the base. Deterministic: segments re-encoded (the
+  /// snapshot's patched vertices, or all n when the encoding changed) and
+  /// inverted slots merged with a diff.
+  uint64_t last_compaction_vertices_encoded = 0;
+  uint64_t last_compaction_slots_merged = 0;
   /// Current (updated) graph.
   uint64_t graph_edges = 0;
   uint64_t current_graph_fingerprint = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 
 #include "simrank/common/file_util.h"
 #include "simrank/common/macros.h"
@@ -448,6 +449,153 @@ std::span<const VertexId> WalkStore::Bucket(uint32_t r, uint32_t t,
 
 // --------------------------------------------------------------- encoder
 
+namespace {
+
+/// Appends vertex `v`'s segment, encoded from its decoded walks `row`
+/// (WalkWords layout): per fingerprint, the walk's alive length, then its
+/// positions — raw words, or zigzag varint deltas from the previous
+/// position (the vertex itself for step 1). The one segment encoder
+/// behind Encode and EncodeMerged.
+void AppendSegment(const WalkStoreMeta& meta, bool compress, VertexId v,
+                   const uint32_t* row, std::vector<uint8_t>* out) {
+  const uint32_t L = meta.walk_length;
+  for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
+    const uint32_t* walk = row + static_cast<size_t>(r) * (L + 1);
+    uint32_t length = 0;
+    while (length < L && walk[length + 1] != kDead) ++length;
+    if (compress) {
+      AppendVarint32(out, length);
+      uint32_t prev = v;
+      for (uint32_t t = 1; t <= length; ++t) {
+        AppendVarint64(out, ZigZagEncode64(static_cast<int64_t>(walk[t]) -
+                                           static_cast<int64_t>(prev)));
+        prev = walk[t];
+      }
+    } else {
+      AppendWord(out, length);
+      for (uint32_t t = 1; t <= length; ++t) AppendWord(out, walk[t]);
+    }
+  }
+}
+
+/// Where an image's regions start, fixed once its directory is complete.
+struct ImageLayout {
+  uint64_t segments_offset = 0;
+  uint64_t inverted_offset = 0;
+  uint64_t file_size = 0;
+};
+
+/// Sizes `image` for a complete directory — seg_rel[n+1] then
+/// inv_rel[R·L+1], whose last entries are the two region sizes —
+/// zero-fills it, so every alignment pad is zero, and copies the
+/// directory in.
+ImageLayout StartImage(std::span<const uint64_t> directory, uint32_t n,
+                       std::vector<uint8_t>* image) {
+  const uint64_t directory_bytes = directory.size() * sizeof(uint64_t);
+  ImageLayout layout;
+  layout.segments_offset = AlignUp(kPageSize + directory_bytes, kPageSize);
+  layout.inverted_offset =
+      AlignUp(layout.segments_offset + directory[n], kPageSize);
+  layout.file_size = layout.inverted_offset + directory.back();
+  image->assign(layout.file_size, 0);
+  std::memcpy(image->data() + kPageSize, directory.data(), directory_bytes);
+  return layout;
+}
+
+/// Writes the header of a filled image, its three checksums last.
+/// Checksums cover the full page-padded region extents (the inverted
+/// region ends the file, so it has none): a flipped byte anywhere in the
+/// file — even in alignment padding — fails exactly one of the three.
+/// The directory checksum's extent starts right after the 104 header
+/// bytes so the header page's own padding is covered too.
+void SealImage(const WalkStoreMeta& meta, bool compress,
+               const ImageLayout& layout, uint8_t* image) {
+  uint8_t* header = image;
+  WriteScalar<uint32_t>(header + 0, kIndexMagic);
+  WriteScalar<uint32_t>(header + 4, kIndexVersion);
+  WriteScalar<uint32_t>(header + 8, meta.n);
+  WriteScalar<uint32_t>(header + 12, meta.num_fingerprints);
+  WriteScalar<uint32_t>(header + 16, meta.walk_length);
+  WriteScalar<uint32_t>(header + 20, compress ? kFlagCompressedSegments : 0u);
+  WriteScalar<uint64_t>(header + 24, meta.seed);
+  WriteScalar<uint64_t>(header + 32, DampingBits(meta.damping));
+  WriteScalar<uint64_t>(header + 40, meta.graph_fingerprint);
+  WriteScalar<uint64_t>(header + 48, kPageSize);  // directory offset
+  WriteScalar<uint64_t>(header + 56, layout.segments_offset);
+  WriteScalar<uint64_t>(header + 64, layout.inverted_offset);
+  WriteScalar<uint64_t>(header + 72, layout.file_size);
+  WriteScalar<uint64_t>(
+      header + 80,
+      PayloadChecksum(image + layout.segments_offset,
+                      layout.inverted_offset - layout.segments_offset,
+                      image + layout.inverted_offset,
+                      layout.file_size - layout.inverted_offset));
+  WriteScalar<uint64_t>(
+      header + 88, DirectoryChecksum(image + kHeaderBytes,
+                                     layout.segments_offset - kHeaderBytes));
+  StreamHasher header_hasher(kHeaderSalt);
+  header_hasher.AbsorbBytes(header, kHeaderBytes - sizeof(uint64_t));
+  WriteScalar<uint64_t>(header + 96, header_hasher.digest());
+}
+
+/// Runs fn(i) for every i in [0, count): over `pool`, or inline without one.
+void ForEachIndex(ThreadPool* pool, uint64_t count,
+                  const std::function<void(uint64_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(0, count, fn);
+    return;
+  }
+  for (uint64_t i = 0; i < count; ++i) fn(i);
+}
+
+/// Writes the `count` entries of base slot + diff into a new blob's
+/// parallel arrays, in (position, vertex) order — the order Encode's
+/// counting sort produces. False when the diff does not fit the base: a
+/// `removed` entry missing from it, or a result other than `count` long.
+bool MergeSlot(const WalkStore::SlotView& base,
+               const DeltaOverlay::SlotDelta& delta, uint64_t count,
+               uint32_t* positions, uint32_t* vertices) {
+  auto removed = delta.removed.begin();
+  auto added = delta.added.begin();
+  uint64_t out = 0;
+  auto emit = [&](const OverlayEntry& entry) {
+    if (out == count) return false;
+    positions[out] = entry.position;
+    vertices[out] = entry.vertex;
+    ++out;
+    return true;
+  };
+  for (size_t i = 0; i < base.count; ++i) {
+    const OverlayEntry entry{base.positions[i], base.vertices[i]};
+    if (removed != delta.removed.end() && *removed == entry) {
+      ++removed;
+      continue;
+    }
+    for (; added != delta.added.end() && *added < entry; ++added) {
+      if (!emit(*added)) return false;
+    }
+    if (!emit(entry)) return false;
+  }
+  for (; added != delta.added.end(); ++added) {
+    if (!emit(*added)) return false;
+  }
+  return removed == delta.removed.end() && out == count;
+}
+
+}  // namespace
+
+std::unique_ptr<WalkStore> WalkStore::Adopt(std::vector<uint8_t> image) {
+  std::unique_ptr<WalkStore> store(new WalkStore());
+  store->path_ = "(encoded walk image)";
+  store->owned_ = std::move(image);
+  store->data_ = store->owned_.data();
+  store->size_ = store->owned_.size();
+  const Status attached = store->Attach(store->size_);
+  OIPSIM_CHECK_MSG(attached.ok(), "walk encoder produced a bad image: %s",
+                   attached.ToString().c_str());
+  return store;
+}
+
 std::unique_ptr<WalkStore> WalkStore::Encode(const WalkStoreMeta& meta,
                                              std::span<const uint32_t> walks,
                                              bool compress,
@@ -469,12 +617,11 @@ std::unique_ptr<WalkStore> WalkStore::Encode(const WalkStoreMeta& meta,
   uint64_t* seg_rel = directory.data();
   uint64_t* inv_rel = seg_rel + n + 1;
 
-  // Per-vertex segments: per fingerprint, the walk's alive length, then
-  // its positions — raw words, or zigzag varint deltas from the previous
-  // position (the vertex itself for step 1). Encoded in parallel over
-  // contiguous vertex blocks and laid out in block order, so the bytes do
-  // not depend on the thread count. Each block gathers its rows a tile
-  // of vertices at a time, reading every table column sequentially.
+  // Per-vertex segments, encoded in parallel over contiguous vertex
+  // blocks and laid out in block order, so the bytes do not depend on the
+  // thread count. Each block gathers its rows a tile of vertices at a
+  // time, reading every table column sequentially. seg_rel[v + 1] holds
+  // v's size until the prefix sum.
   const size_t words = meta.num_fingerprints * row;
   ThreadPool pool(num_threads);
   const uint64_t num_blocks =
@@ -493,38 +640,13 @@ std::unique_ptr<WalkStore> WalkStore::Encode(const WalkStoreMeta& meta,
         for (VertexId i = 0; i < count; ++i) tile[i * words + word] = src[i];
       }
       for (VertexId i = 0; i < count; ++i) {
-        const VertexId v = v0 + i;
-        seg_rel[v] = out.size();  // block-relative until the layout pass
-        for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
-          const uint32_t* walk = tile.data() + i * words + r * row;
-          uint32_t length = 0;
-          while (length < L && walk[length + 1] != kDead) ++length;
-          if (compress) {
-            AppendVarint32(&out, length);
-            uint32_t prev = v;
-            for (uint32_t t = 1; t <= length; ++t) {
-              AppendVarint64(&out,
-                             ZigZagEncode64(static_cast<int64_t>(walk[t]) -
-                                            static_cast<int64_t>(prev)));
-              prev = walk[t];
-            }
-          } else {
-            AppendWord(&out, length);
-            for (uint32_t t = 1; t <= length; ++t) AppendWord(&out, walk[t]);
-          }
-        }
+        const size_t before = out.size();
+        AppendSegment(meta, compress, v0 + i, tile.data() + i * words, &out);
+        seg_rel[v0 + i + 1] = out.size() - before;
       }
     }
   });
-  uint64_t segment_bytes = 0;
-  for (uint64_t block = 0; block < num_blocks; ++block) {
-    for (auto v = static_cast<VertexId>(n * block / num_blocks);
-         v < n * (block + 1) / num_blocks; ++v) {
-      seg_rel[v] += segment_bytes;
-    }
-    segment_bytes += block_segments[block].size();
-  }
-  seg_rel[n] = segment_bytes;
+  for (VertexId v = 0; v < n; ++v) seg_rel[v + 1] += seg_rel[v];
 
   // Inverted index, in two passes that are both parallel over
   // fingerprints (slots of different r are disjoint, so the bytes are
@@ -543,26 +665,15 @@ std::unique_ptr<WalkStore> WalkStore::Encode(const WalkStoreMeta& meta,
   });
   for (uint64_t s = 0; s < num_slots; ++s) inv_rel[s + 1] += inv_rel[s];
 
-  const uint64_t directory_bytes = directory.size() * sizeof(uint64_t);
-  const uint64_t segments_offset =
-      AlignUp(kPageSize + directory_bytes, kPageSize);
-  const uint64_t inverted_offset =
-      AlignUp(segments_offset + segment_bytes, kPageSize);
-  const uint64_t file_size = inverted_offset + inv_rel[num_slots];
-
-  // Zero-filled, so every alignment pad is zero.
-  std::unique_ptr<WalkStore> store(new WalkStore());
-  store->path_ = "(encoded walk image)";
-  std::vector<uint8_t>& image = store->owned_;
-  image.assign(file_size, 0);
-  std::memcpy(image.data() + kPageSize, directory.data(), directory_bytes);
-  uint8_t* segments = image.data() + segments_offset;
+  std::vector<uint8_t> image;
+  const ImageLayout layout = StartImage(directory, n, &image);
+  uint8_t* segments = image.data() + layout.segments_offset;
   for (std::vector<uint8_t>& block : block_segments) {
     if (!block.empty()) std::memcpy(segments, block.data(), block.size());
     segments += block.size();
     std::vector<uint8_t>().swap(block);
   }
-  uint8_t* inverted = image.data() + inverted_offset;
+  uint8_t* inverted = image.data() + layout.inverted_offset;
   pool.ParallelFor(0, meta.num_fingerprints, [&](uint64_t r) {
     std::vector<uint32_t> start(n);
     for (uint32_t t = 1; t <= L; ++t) {
@@ -591,43 +702,150 @@ std::unique_ptr<WalkStore> WalkStore::Encode(const WalkStoreMeta& meta,
     }
   });
 
-  // Checksums cover the full page-padded region extents (the inverted
-  // region ends the file, so it has none): a flipped byte anywhere in the
-  // file — even in alignment padding — fails exactly one of the three.
-  // The directory checksum's extent starts right after the 104 header
-  // bytes so the header page's own padding is covered too.
-  uint8_t* header = image.data();
-  WriteScalar<uint32_t>(header + 0, kIndexMagic);
-  WriteScalar<uint32_t>(header + 4, kIndexVersion);
-  WriteScalar<uint32_t>(header + 8, n);
-  WriteScalar<uint32_t>(header + 12, meta.num_fingerprints);
-  WriteScalar<uint32_t>(header + 16, L);
-  WriteScalar<uint32_t>(header + 20, compress ? kFlagCompressedSegments : 0u);
-  WriteScalar<uint64_t>(header + 24, meta.seed);
-  WriteScalar<uint64_t>(header + 32, DampingBits(meta.damping));
-  WriteScalar<uint64_t>(header + 40, meta.graph_fingerprint);
-  WriteScalar<uint64_t>(header + 48, kPageSize);  // directory offset
-  WriteScalar<uint64_t>(header + 56, segments_offset);
-  WriteScalar<uint64_t>(header + 64, inverted_offset);
-  WriteScalar<uint64_t>(header + 72, file_size);
-  WriteScalar<uint64_t>(
-      header + 80,
-      PayloadChecksum(image.data() + segments_offset,
-                      inverted_offset - segments_offset, inverted,
-                      file_size - inverted_offset));
-  WriteScalar<uint64_t>(
-      header + 88, DirectoryChecksum(image.data() + kHeaderBytes,
-                                     segments_offset - kHeaderBytes));
-  StreamHasher header_hasher(kHeaderSalt);
-  header_hasher.AbsorbBytes(header, kHeaderBytes - sizeof(uint64_t));
-  WriteScalar<uint64_t>(header + 96, header_hasher.digest());
+  SealImage(meta, compress, layout, image.data());
+  return Adopt(std::move(image));
+}
 
-  store->data_ = image.data();
-  store->size_ = image.size();
-  const Status attached = store->Attach(store->size_);
-  OIPSIM_CHECK_MSG(attached.ok(), "walk encoder produced a bad image: %s",
-                   attached.ToString().c_str());
-  return store;
+Result<std::unique_ptr<WalkStore>> WalkStore::EncodeMerged(
+    const WalkStore& base, const DeltaOverlay* overlay,
+    uint64_t graph_fingerprint, bool compress, ThreadPool* pool,
+    MergeCounts* counts) {
+  // Copied bytes must be trusted bytes. An owned image was checksummed at
+  // load or made by an encoder; a mapping is swept here, or a flipped but
+  // in-range position would be copied into a file with fresh, valid
+  // checksums.
+  OIPSIM_RETURN_IF_ERROR(base.VerifyPayload());
+  WalkStoreMeta meta = base.meta_;
+  meta.graph_fingerprint = graph_fingerprint;
+  const uint32_t n = meta.n;
+  const uint32_t L = meta.walk_length;
+  const uint64_t num_slots =
+      static_cast<uint64_t>(meta.num_fingerprints) * L;
+  std::vector<uint64_t> directory(n + 1 + num_slots + 1, 0);
+  uint64_t* seg_rel = directory.data();
+  uint64_t* inv_rel = seg_rel + n + 1;
+  MergeCounts merge;
+
+  // Segment sizes, over contiguous vertex blocks: a vertex whose bytes
+  // change (patched, or any vertex when the encoding changes) is
+  // re-encoded into its block's buffer; every other one keeps its base
+  // segment's size. seg_rel[v + 1] holds v's size until the prefix sum.
+  const bool reencode_all = compress != base.compressed_;
+  std::vector<uint8_t> fresh(n, 0);  // 1: re-encoded into its block buffer
+  const uint64_t workers = pool == nullptr ? 1 : pool->num_threads();
+  const uint64_t num_blocks = std::min<uint64_t>(n, workers * 4);
+  struct SegmentBlock {
+    std::vector<uint8_t> encoded;
+    Status status;
+    uint64_t vertices_encoded = 0;
+  };
+  std::vector<SegmentBlock> blocks(num_blocks);
+  auto block_begin = [&](uint64_t block) {
+    return static_cast<VertexId>(n * block / num_blocks);
+  };
+  ForEachIndex(pool, num_blocks, [&](uint64_t b) {
+    SegmentBlock& block = blocks[b];
+    std::vector<uint32_t> row(base.WalkWords());
+    for (VertexId v = block_begin(b); v < block_begin(b + 1); ++v) {
+      if (!reencode_all && (overlay == nullptr || !overlay->IsPatched(v))) {
+        seg_rel[v + 1] = base.seg_rel_[v + 1] - base.seg_rel_[v];
+        continue;
+      }
+      block.status = MaterializeRow(base, overlay, v, row.data());
+      if (!block.status.ok()) return;
+      const size_t before = block.encoded.size();
+      AppendSegment(meta, compress, v, row.data(), &block.encoded);
+      seg_rel[v + 1] = block.encoded.size() - before;
+      fresh[v] = 1;
+      ++block.vertices_encoded;
+    }
+  });
+  for (const SegmentBlock& block : blocks) {
+    OIPSIM_RETURN_IF_ERROR(block.status);
+    merge.vertices_encoded += block.vertices_encoded;
+  }
+  for (VertexId v = 0; v < n; ++v) seg_rel[v + 1] += seg_rel[v];
+
+  // Slot sizes: the base slot's, less the diff's removals, plus its
+  // additions.
+  std::vector<const DeltaOverlay::SlotDelta*> deltas(num_slots, nullptr);
+  for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
+    for (uint32_t t = 1; t <= L; ++t) {
+      const uint64_t s = static_cast<uint64_t>(r) * L + (t - 1);
+      uint64_t bytes = base.inv_rel_[s + 1] - base.inv_rel_[s];
+      const DeltaOverlay::SlotDelta* delta =
+          overlay == nullptr ? nullptr : overlay->Delta(r, t);
+      if (delta != nullptr) {
+        if (delta->removed.size() * 8 > bytes) {
+          return Status::Internal(StrFormat(
+              "overlay diff of slot (%u, %u) removes more entries than the "
+              "base slot holds",
+              r, t));
+        }
+        bytes = bytes - delta->removed.size() * 8 + delta->added.size() * 8;
+        deltas[s] = delta;
+        ++merge.slots_merged;
+      }
+      inv_rel[s + 1] = inv_rel[s] + bytes;
+    }
+  }
+
+  std::vector<uint8_t> image;
+  const ImageLayout layout = StartImage(directory, n, &image);
+
+  // Segments: each block copies its runs of kept segments straight from
+  // the base image and its runs of re-encoded ones from its buffer.
+  uint8_t* segments = image.data() + layout.segments_offset;
+  ForEachIndex(pool, num_blocks, [&](uint64_t b) {
+    const uint8_t* encoded = blocks[b].encoded.data();
+    const VertexId hi = block_begin(b + 1);
+    for (VertexId v = block_begin(b); v < hi;) {
+      VertexId end = v + 1;
+      while (end < hi && fresh[end] == fresh[v]) ++end;
+      const uint64_t bytes = seg_rel[end] - seg_rel[v];
+      const uint8_t* from =
+          fresh[v] ? encoded : base.segments_base_ + base.seg_rel_[v];
+      if (bytes > 0) std::memcpy(segments + seg_rel[v], from, bytes);
+      if (fresh[v]) encoded += bytes;
+      v = end;
+    }
+    std::vector<uint8_t>().swap(blocks[b].encoded);
+  });
+
+  // Inverted blobs, over fingerprints: copied when unchanged, merged with
+  // their diff otherwise.
+  uint8_t* inverted = image.data() + layout.inverted_offset;
+  std::vector<uint8_t> misfit(meta.num_fingerprints, 0);
+  ForEachIndex(pool, meta.num_fingerprints, [&](uint64_t r) {
+    for (uint32_t t = 1; t <= L; ++t) {
+      const uint64_t s = r * L + (t - 1);
+      const uint64_t bytes = inv_rel[s + 1] - inv_rel[s];
+      uint8_t* blob = inverted + inv_rel[s];
+      if (deltas[s] == nullptr) {
+        if (bytes > 0) {
+          std::memcpy(blob, base.inverted_base_ + base.inv_rel_[s], bytes);
+        }
+        continue;
+      }
+      // Blob offsets are multiples of 8 from a page-aligned region.
+      auto* positions = reinterpret_cast<uint32_t*>(blob);
+      if (!MergeSlot(base.Slot(static_cast<uint32_t>(r), t), *deltas[s],
+                     bytes / 8, positions, positions + bytes / 8)) {
+        misfit[r] = 1;
+      }
+    }
+  });
+  for (uint32_t r = 0; r < meta.num_fingerprints; ++r) {
+    if (misfit[r]) {
+      return Status::Internal(StrFormat(
+          "overlay slot diffs of fingerprint %u do not fit the base store",
+          r));
+    }
+  }
+
+  SealImage(meta, compress, layout, image.data());
+  if (counts != nullptr) *counts = merge;
+  return Adopt(std::move(image));
 }
 
 Status SaveWalkStore(const WalkStore& store, const std::string& path,
@@ -635,10 +853,10 @@ Status SaveWalkStore(const WalkStore& store, const std::string& path,
   std::unique_ptr<WalkStore> reencoded;
   const WalkStore* source = &store;
   if (compress != store.compressed()) {
-    std::vector<uint32_t> walks(store.WalkWords() * store.meta().n);
-    OIPSIM_RETURN_IF_ERROR(MaterializeWalkTable(store, nullptr, 0,
-                                                store.meta().n, walks.data()));
-    reencoded = WalkStore::Encode(store.meta(), walks, compress);
+    auto merged = WalkStore::EncodeMerged(
+        store, nullptr, store.meta().graph_fingerprint, compress, nullptr);
+    OIPSIM_RETURN_IF_ERROR(merged.status());
+    reencoded = std::move(merged).value();
     source = reencoded.get();
   } else {
     OIPSIM_RETURN_IF_ERROR(store.VerifyPayload());

@@ -36,9 +36,16 @@
 // A mapped store verifies header + directory only — by design it never
 // reads the payload at open (pages fault in on demand) — and defends
 // every decode with bounds checks instead; VerifyPayload() performs the
-// full payload sweep on request. Build, compaction and shard splitting
-// hand their flat walk tables to the one encoder (WalkStore::Encode),
-// which produces the same owned image a load of its saved file would.
+// full payload sweep on request.
+//
+// Two encoders produce owned images, sharing one per-vertex segment
+// encoder and one header/checksum sealer, so the format logic exists
+// once. Build and shard splitting hand a flat walk table to
+// WalkStore::Encode. Compaction and re-encoding saves hand an existing
+// image plus an optional overlay to WalkStore::EncodeMerged, which copies
+// what did not change (unpatched segments, slots without a diff) and
+// re-encodes only what did. Either way the image is exactly the file a
+// save writes, and equal walks give equal bytes.
 #ifndef OIPSIM_SIMRANK_INDEX_WALK_STORE_H_
 #define OIPSIM_SIMRANK_INDEX_WALK_STORE_H_
 
@@ -55,7 +62,9 @@
 
 namespace simrank {
 
+class DeltaOverlay;
 class SegmentReader;
+class ThreadPool;
 
 /// Format-level cap on walk_length, enforced at build and load. The
 /// truncation weight C^t is dozens of orders of magnitude below the
@@ -95,6 +104,34 @@ class WalkStore {
                                            std::span<const uint32_t> walks,
                                            bool compress,
                                            uint32_t num_threads = 1);
+
+  /// What one EncodeMerged call re-encoded; everything else was copied
+  /// byte for byte from the base image.
+  struct MergeCounts {
+    /// Segments re-encoded from decoded rows (patched vertices, or every
+    /// vertex when the encoding changes).
+    uint64_t vertices_encoded = 0;
+    /// Inverted slots merged with an overlay diff.
+    uint64_t slots_merged = 0;
+  };
+
+  /// Encodes `base` under `overlay` (null: the base alone) into an owned
+  /// image whose header carries `graph_fingerprint` — byte-identical to
+  /// Encode on the materialized walk table, without building that table.
+  /// A vertex the overlay does not patch keeps its segment bytes (copied
+  /// in coalesced runs) when `compress` matches the base's encoding; any
+  /// other vertex is re-encoded from MaterializeRow. A slot without a
+  /// diff is copied; a slot with one is a linear merge of the base blob
+  /// and the diff's sorted entries. A mapped base's payload is verified
+  /// first, so corrupt bytes are never sealed under fresh checksums.
+  /// Fans out over `pool` (null: serial) in contiguous vertex blocks and
+  /// fingerprint ranges laid out in block order, so the bytes do not
+  /// depend on its size. `counts` (optional) receives what was
+  /// re-encoded.
+  static Result<std::unique_ptr<WalkStore>> EncodeMerged(
+      const WalkStore& base, const DeltaOverlay* overlay,
+      uint64_t graph_fingerprint, bool compress, ThreadPool* pool,
+      MergeCounts* counts = nullptr);
 
   /// Reads a v2 file into an owned image and verifies all three
   /// checksums. Nothing is decoded: ResidentBytes() is the file size.
@@ -183,6 +220,9 @@ class WalkStore {
  private:
   WalkStore();
 
+  /// Wraps a freshly encoded, sealed image as an owned store.
+  static std::unique_ptr<WalkStore> Adopt(std::vector<uint8_t> image);
+
   /// Parses and validates the header and directory of the image at
   /// data_/size_ (`available` of its bytes readable up front) and points
   /// the views into it.
@@ -214,11 +254,12 @@ class WalkStore {
   mutable std::atomic<bool> slots_prefetched_{false};
 };
 
-/// Writes `store`'s image to `path` — re-encoded first when `compress`
-/// differs from the image's encoding — through a synced temporary file
-/// renamed into place (ReplaceFile), so a reader mapping the old file
-/// keeps its bytes. A mapped store's payload is verified first.
-/// Deterministic: equal walks and encodings give byte-identical files.
+/// Writes `store`'s image to `path` — re-encoded first (EncodeMerged,
+/// no overlay) when `compress` differs from the image's encoding —
+/// through a synced temporary file renamed into place (ReplaceFile), so
+/// a reader mapping the old file keeps its bytes. A mapped store's
+/// payload is verified first. Deterministic: equal walks and encodings
+/// give byte-identical files.
 Status SaveWalkStore(const WalkStore& store, const std::string& path,
                      bool compress);
 

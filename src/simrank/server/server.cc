@@ -1124,6 +1124,9 @@ std::string SimRankServer::BuildStatsBody() const {
     json.Key("auto_failures").Uint(updates.auto_compact_failures);
     json.Key("last_total_us").Uint(updates.last_compaction_micros);
     json.Key("last_pause_us").Uint(updates.last_compaction_pause_micros);
+    json.Key("last_vertices_encoded")
+        .Uint(updates.last_compaction_vertices_encoded);
+    json.Key("last_slots_merged").Uint(updates.last_compaction_slots_merged);
     const LatencyHistogram::Snapshot compaction =
         updater_->compaction_histogram().snapshot();
     json.Key("p50_us").Uint(compaction.QuantileUpperMicros(0.5));
@@ -1432,6 +1435,12 @@ std::string SimRankServer::BuildMetricsBody() const {
     out += StrFormat(
         "simrank_compaction_pause_seconds %g\n",
         static_cast<double>(updates.last_compaction_pause_micros) / 1e6);
+    type("simrank_compaction_vertices_encoded", "gauge");
+    counter("simrank_compaction_vertices_encoded", "",
+            updates.last_compaction_vertices_encoded);
+    type("simrank_compaction_slots_merged", "gauge");
+    counter("simrank_compaction_slots_merged", "",
+            updates.last_compaction_slots_merged);
     // Durations of completed compactions (manual + auto), native buckets.
     type("simrank_compaction_duration_seconds", "histogram");
     {

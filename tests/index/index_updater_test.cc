@@ -170,6 +170,48 @@ TEST_P(IndexUpdaterBackendTest, UpdateThenQueryEqualsRebuildThenQuery) {
   EXPECT_EQ(ReadFileBytes(compacted), ReadFileBytes(fresh_path));
 }
 
+TEST_P(IndexUpdaterBackendTest, CompactIntoTheOtherEncodingEqualsFreshSave) {
+  // Compacting into the encoding the base file does not use re-encodes
+  // every segment (none can be copied) while unchanged slots are still
+  // copied; the file must equal Build+Save on the updated graph with the
+  // target encoding, through either backend.
+  const DiGraph graph = testing::RandomGraph(40, 160, 6);
+  const WalkIndexOptions options = SmallOptions();
+  const std::string tag =
+      std::string(GetParam().compress ? "c" : "r") +
+      (GetParam().use_mmap ? "m" : "i") + "-swap";
+  WalkIndex index = BuildSaveLoad(graph, options, GetParam().compress,
+                                  GetParam().use_mmap, tag);
+  const std::string wal_path = TempPath("updater-" + tag + ".wal");
+  std::remove(wal_path.c_str());
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = wal_path;
+  auto updater = IndexUpdater::Open(index, graph, updater_options);
+  ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+  const std::vector<Edge> fresh = FreshEdges(graph, 2);
+  ASSERT_TRUE((*updater)
+                  ->ApplyUpdates(
+                      {{{EdgeUpdate::Op::kInsert, fresh[0].src, fresh[0].dst},
+                        {EdgeUpdate::Op::kDelete, graph.Edges()[5].src,
+                         graph.Edges()[5].dst}}})
+                  .ok());
+  ASSERT_TRUE((*updater)
+                  ->ApplyUpdates({{{EdgeUpdate::Op::kInsert, fresh[1].src,
+                                    fresh[1].dst}}})
+                  .ok());
+
+  WalkIndex::SaveOptions save;
+  save.compress = !GetParam().compress;
+  const std::string compacted = TempPath("updater-compact-" + tag + ".widx");
+  const std::string fresh_path = TempPath("updater-fresh-" + tag + ".widx");
+  ASSERT_TRUE((*updater)->Compact(compacted, save).ok());
+  auto rebuilt = WalkIndex::Build((*updater)->CurrentGraph(), options);
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_TRUE(rebuilt->Save(fresh_path, save).ok());
+  EXPECT_EQ(ReadFileBytes(compacted), ReadFileBytes(fresh_path));
+  EXPECT_EQ((*updater)->stats().last_compaction_vertices_encoded, graph.n());
+}
+
 TEST(IndexUpdaterTest, DeadWalksReviveAndDie) {
   // In the paper graph f, g, i have no in-neighbours: every walk reaching
   // them dies. Giving f an in-edge revives those walks; deleting it kills
@@ -361,6 +403,114 @@ TEST(IndexUpdaterTest, CompactWithResetRebindsTheWal) {
   WalkIndex base_index = std::move(built).value();
   auto stale = IndexUpdater::Open(base_index, graph, updater_options);
   EXPECT_FALSE(stale.ok());
+}
+
+TEST(IndexUpdaterTest, CompactReEncodesOnlyPatchedVertices) {
+  const DiGraph graph = testing::RandomGraph(60, 150, 12);
+  const WalkIndexOptions options = SmallOptions();
+  auto built = WalkIndex::Build(graph, options);
+  ASSERT_TRUE(built.ok());
+  WalkIndex index = std::move(built).value();
+  const std::string wal_path = TempPath("updater-compact-counts.wal");
+  std::remove(wal_path.c_str());
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = wal_path;
+  auto updater = IndexUpdater::Open(index, graph, updater_options);
+  ASSERT_TRUE(updater.ok());
+  const std::vector<Edge> fresh = FreshEdges(graph, 1);
+  ASSERT_TRUE((*updater)
+                  ->ApplyUpdates({{{EdgeUpdate::Op::kInsert, fresh[0].src,
+                                    fresh[0].dst}}})
+                  .ok());
+  const auto snapshot = index.overlay_snapshot();
+  ASSERT_NE(snapshot, nullptr);
+  ASSERT_GT(snapshot->patched_vertex_count(), 0u);
+
+  ASSERT_TRUE((*updater)
+                  ->Compact(TempPath("updater-compact-counts.widx"),
+                            WalkIndex::SaveOptions{})
+                  .ok());
+  const IndexUpdateStats stats = (*updater)->stats();
+  EXPECT_EQ(stats.last_compaction_vertices_encoded,
+            snapshot->patched_vertex_count());
+  EXPECT_LT(stats.last_compaction_vertices_encoded, graph.n());
+  EXPECT_EQ(stats.last_compaction_slots_merged,
+            snapshot->changed_slot_count());
+
+  // With nothing patched since, the next compaction copies every byte.
+  ASSERT_TRUE((*updater)
+                  ->Compact(TempPath("updater-compact-counts-2.widx"),
+                            WalkIndex::SaveOptions{})
+                  .ok());
+  EXPECT_EQ((*updater)->stats().last_compaction_vertices_encoded, 0u);
+  EXPECT_EQ((*updater)->stats().last_compaction_slots_merged, 0u);
+  EXPECT_EQ(ReadFileBytes(TempPath("updater-compact-counts.widx")),
+            ReadFileBytes(TempPath("updater-compact-counts-2.widx")));
+}
+
+TEST(IndexUpdaterTest, CompactRefusesACorruptMappedBase) {
+  // An in-range flipped position in a raw mapped segment passes every
+  // decode check; compaction must still refuse to copy it into a file
+  // with fresh, valid checksums.
+  const DiGraph graph = testing::RandomGraph(40, 160, 3);
+  const WalkIndexOptions options = SmallOptions();
+  auto built = WalkIndex::Build(graph, options);
+  ASSERT_TRUE(built.ok());
+  const std::string path = TempPath("updater-corrupt-base.widx");
+  ASSERT_TRUE(built->Save(path).ok());
+  auto info = ReadWalkIndexInfo(path);
+  ASSERT_TRUE(info.ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  // Vertex 0's segment opens the segment region: per fingerprint a length
+  // word, then that many position words. Flip the low bit of the first
+  // stored position; with n even it stays below n.
+  ASSERT_EQ(graph.n() % 2, 0u);
+  size_t at = info->file_bytes - info->inverted_bytes - info->segment_bytes;
+  bool flipped = false;
+  for (uint32_t r = 0; r < options.num_fingerprints && !flipped; ++r) {
+    uint32_t length = 0;
+    std::memcpy(&length, bytes.data() + at, sizeof(length));
+    if (length > 0) {
+      bytes[at + 4] ^= 0x01;
+      flipped = true;
+    }
+    at += 4 + 4 * static_cast<size_t>(length);
+  }
+  ASSERT_TRUE(flipped);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+
+  WalkIndex::LoadOptions load;
+  load.use_mmap = true;
+  auto mapped = WalkIndex::Load(path, load);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const std::string wal_path = TempPath("updater-corrupt-base.wal");
+  std::remove(wal_path.c_str());
+  IndexUpdaterOptions updater_options;
+  updater_options.wal_path = wal_path;
+  auto updater = IndexUpdater::Open(*mapped, graph, updater_options);
+  ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+  const std::vector<Edge> fresh = FreshEdges(graph, 1);
+  ASSERT_TRUE((*updater)
+                  ->ApplyUpdates({{{EdgeUpdate::Op::kInsert, fresh[0].src,
+                                    fresh[0].dst}}})
+                  .ok());
+
+  const std::string target = TempPath("updater-corrupt-compacted.widx");
+  std::remove(target.c_str());
+  const Status compacted =
+      (*updater)->Compact(target, WalkIndex::SaveOptions{});
+  ASSERT_FALSE(compacted.ok());
+  EXPECT_NE(compacted.message().find("payload checksum mismatch"),
+            std::string::npos)
+      << compacted.ToString();
+  std::FILE* left = std::fopen(target.c_str(), "rb");
+  EXPECT_EQ(left, nullptr) << "a compacted file was written";
+  if (left != nullptr) std::fclose(left);
 }
 
 TEST(IndexUpdaterTest, OpenValidation) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "simrank/common/stream_hash.h"
+#include "simrank/common/thread_pool.h"
 #include "simrank/index/segment_reader.h"
 #include "simrank/index/walk_index.h"
 #include "testing/fixtures.h"
@@ -141,6 +142,52 @@ TEST(WalkStoreTest, ResaveThroughAnyBackendIsByteIdentical) {
     const std::string expected = ReadFileBytes(original);
     EXPECT_EQ(ReadFileBytes(via_ram), expected) << tag;
     EXPECT_EQ(ReadFileBytes(via_mmap), expected) << tag;
+  }
+}
+
+TEST(WalkStoreTest, MergedEncodeWithoutOverlayMatchesTheSavedFile) {
+  // EncodeMerged with no overlay copies (same encoding) or re-encodes
+  // (other encoding) every segment; either way, through either backend
+  // and on any pool, it must reproduce the file Save writes.
+  DiGraph graph = testing::RandomGraph(45, 110, 7);  // some dead walks
+  WalkIndex index = BuildSmallIndex(graph);
+  ThreadPool pool(3);
+  for (bool from_compressed : {false, true}) {
+    WalkIndex::SaveOptions from_save;
+    from_save.compress = from_compressed;
+    const std::string source =
+        TempPath(std::string("store_merged_src_") +
+                 (from_compressed ? "c" : "r") + ".widx");
+    ASSERT_TRUE(index.Save(source, from_save).ok());
+    for (bool use_mmap : {false, true}) {
+      WalkIndex::LoadOptions load;
+      load.use_mmap = use_mmap;
+      auto loaded = WalkIndex::Load(source, load);
+      ASSERT_TRUE(loaded.ok());
+      for (bool to_compressed : {false, true}) {
+        WalkIndex::SaveOptions to_save;
+        to_save.compress = to_compressed;
+        const std::string expected_path =
+            TempPath(std::string("store_merged_expected_") +
+                     (to_compressed ? "c" : "r") + ".widx");
+        ASSERT_TRUE(index.Save(expected_path, to_save).ok());
+        const std::string expected = ReadFileBytes(expected_path);
+        for (ThreadPool* on : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          WalkStore::MergeCounts counts;
+          auto merged = WalkStore::EncodeMerged(
+              loaded->store(), nullptr,
+              loaded->store().meta().graph_fingerprint, to_compressed, on,
+              &counts);
+          ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+          const std::span<const uint8_t> image = (*merged)->image();
+          EXPECT_EQ(std::string(image.begin(), image.end()), expected)
+              << from_compressed << use_mmap << to_compressed;
+          EXPECT_EQ(counts.vertices_encoded,
+                    from_compressed == to_compressed ? 0u : graph.n());
+          EXPECT_EQ(counts.slots_merged, 0u);
+        }
+      }
+    }
   }
 }
 
