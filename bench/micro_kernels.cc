@@ -267,6 +267,9 @@ void BM_SingleSourceAccumulate(benchmark::State& state) {
   }
   std::vector<uint32_t> met(kN, 0);
   std::vector<double> result(kN, 0.0);
+  // First-touch ids; each vertex is appended at most once per state.
+  std::vector<uint32_t> touched(kN);
+  size_t touched_count = 0;
   uint32_t round = 0;
   auto accumulate = [&]() {
     ++round;
@@ -275,8 +278,10 @@ void BM_SingleSourceAccumulate(benchmark::State& state) {
           bucket.size()) {
         return false;
       }
-      AccumulateBucket(level, bucket.data(), bucket.size(), round, 0.125,
-                       met.data(), result.data());
+      touched_count +=
+          AccumulateBucket(level, bucket.data(), bucket.size(), round, 0.125,
+                           met.data(), result.data(),
+                           touched.data() + touched_count);
     }
     return true;
   };
@@ -284,11 +289,15 @@ void BM_SingleSourceAccumulate(benchmark::State& state) {
   {
     std::vector<uint32_t> met_ref(kN, 0);
     std::vector<double> result_ref(kN, 0.0);
+    std::vector<uint32_t> touched_ref(kN);
+    size_t touched_ref_count = 0;
     for (const auto& bucket : buckets) {
-      AccumulateBucket(SimdLevel::kScalar, bucket.data(), bucket.size(), 1,
-                       0.125, met_ref.data(), result_ref.data());
+      touched_ref_count += AccumulateBucket(
+          SimdLevel::kScalar, bucket.data(), bucket.size(), 1, 0.125,
+          met_ref.data(), result_ref.data(),
+          touched_ref.data() + touched_ref_count);
     }
-    if (!accumulate() || met != met_ref ||
+    if (!accumulate() || met != met_ref || touched != touched_ref ||
         std::memcmp(result.data(), result_ref.data(),
                     kN * sizeof(double)) != 0) {
       state.SkipWithError("tier output differs from scalar reference");

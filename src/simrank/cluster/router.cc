@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -82,6 +83,38 @@ std::string InjectShardLabels(const std::string& labels, uint32_t shard_id,
       StrFormat("shard=\"%u\",role=\"%s\"", shard_id, role);
   if (labels.empty()) return "{" + injected + "}";
   return "{" + injected + "," + labels.substr(1);
+}
+
+/// Decodes a shard's /internal/partial or /internal/topk reply — packed
+/// {u32 vertex, f64 score} records — into `out`, checking what holds for
+/// both frames: whole records only, every vertex inside the shard's
+/// range. Shard output is outside input to the router, so a malformed
+/// frame fails the request rather than the process. Returns "" or a
+/// message naming the shard and the byte offset of the offending record.
+std::string DecodeScoreRecords(size_t shard, const char* op,
+                               const std::string& body,
+                               const ShardRange& range,
+                               std::vector<ScoredVertex>* out) {
+  if (body.size() % kScoreRecordBytes != 0) {
+    return StrFormat("shard %zu /internal/%s reply is truncated: %zu bytes "
+                     "leave a partial record at byte %zu",
+                     shard, op, body.size(),
+                     body.size() - body.size() % kScoreRecordBytes);
+  }
+  out->resize(body.size() / kScoreRecordBytes);
+  for (size_t r = 0; r < out->size(); ++r) {
+    const char* record = body.data() + r * kScoreRecordBytes;
+    ScoredVertex& scored = (*out)[r];
+    std::memcpy(&scored.vertex, record, sizeof(uint32_t));
+    std::memcpy(&scored.score, record + sizeof(uint32_t), sizeof(double));
+    if (!range.Contains(scored.vertex)) {
+      return StrFormat("shard %zu /internal/%s reply: vertex %u at byte %zu "
+                       "is outside the shard's range [%u, %u)",
+                       shard, op, scored.vertex, r * kScoreRecordBytes,
+                       range.begin, range.end);
+    }
+  }
+  return {};
 }
 
 }  // namespace
@@ -664,32 +697,53 @@ FrontendResponse SimRankRouter::HandleSingleSource(
   if (!ParseVertexParam(request, "v", options_.plan.n, &v, &error)) {
     return ErrorResponse(400, "InvalidArgument", error);
   }
-  // Each shard fills its own range; the ranges partition [0, n) in order,
-  // so the row is the full single-node score row, bit for bit.
-  std::vector<double> row(options_.plan.n);
+  // Each shard answers its range's nonzeros, ascending; the ranges
+  // partition [0, n) in order, so the concatenated records are the
+  // single-node row's nonzeros, bit for bit.
+  std::vector<std::vector<ScoredVertex>> parts(options_.shards.size());
   FrontendResponse response;
   const bool ok = FanOut(
       v, StrFormat("/internal/partial?v=%u", v),
-      [this, &row](size_t shard, std::string& body) -> std::string {
-        const ShardRange& range = options_.plan.shards[shard];
-        const size_t expected =
-            static_cast<size_t>(range.end - range.begin) * sizeof(double);
-        if (body.size() != expected) {
-          return StrFormat("shard %zu returned %zu score bytes, expected %zu",
-                           shard, body.size(), expected);
+      [this, &parts](size_t shard, std::string& body) -> std::string {
+        std::vector<ScoredVertex>& part = parts[shard];
+        const std::string malformed = DecodeScoreRecords(
+            shard, "partial", body, options_.plan.shards[shard], &part);
+        if (!malformed.empty()) return malformed;
+        for (size_t r = 0; r < part.size(); ++r) {
+          if (r > 0 && part[r].vertex <= part[r - 1].vertex) {
+            return StrFormat("shard %zu /internal/partial reply: vertex %u "
+                             "at byte %zu is not above its predecessor %u",
+                             shard, part[r].vertex, r * kScoreRecordBytes,
+                             part[r - 1].vertex);
+          }
+          if (!std::isfinite(part[r].score) || !(part[r].score > 0.0)) {
+            return StrFormat("shard %zu /internal/partial reply: score of "
+                             "vertex %u at byte %zu is not finite and > 0",
+                             shard, part[r].vertex, r * kScoreRecordBytes);
+          }
         }
-        std::memcpy(row.data() + range.begin, body.data(), body.size());
         return {};
       },
       &response);
   if (!ok) return response;
   TraceScope merge(TraceStage::kMerge);
+  std::vector<uint32_t> ids;
+  std::vector<double> scores;
+  for (const std::vector<ScoredVertex>& part : parts) {
+    for (const ScoredVertex& scored : part) {
+      ids.push_back(scored.vertex);
+      scores.push_back(scored.score);
+    }
+  }
   JsonWriter json;
   // 32: room for the {"v":…,"scores":…} envelope around the row.
-  json.Reserve(32 + JsonDoubleArrayBound(row));
-  json.BeginObject().Key("v").Uint(v).Key("scores").BeginArray();
-  for (const double score : row) json.Double(score);
-  json.EndArray().EndObject();
+  json.Reserve(32 + JsonSparseDoubleArrayBound(options_.plan.n, scores));
+  json.BeginObject()
+      .Key("v")
+      .Uint(v)
+      .Key("scores")
+      .SparseDoubleArray(options_.plan.n, ids, scores)
+      .EndObject();
   return {200, std::move(json).Take()};
 }
 
@@ -713,19 +767,30 @@ FrontendResponse SimRankRouter::HandleTopK(const HttpRequest& request) {
       v,
       StrFormat("/internal/topk?v=%u&k=%llu", v,
                 static_cast<unsigned long long>(k)),
-      [&parts](size_t shard, std::string& body) -> std::string {
-        if (body.size() % 12 != 0) {
-          return StrFormat("shard %zu returned a %zu-byte top-k body (not a "
-                           "multiple of 12)",
-                           shard, body.size());
+      [this, &parts, k](size_t shard, std::string& body) -> std::string {
+        std::vector<ScoredVertex>& part = parts[shard];
+        if (body.size() / kScoreRecordBytes > k) {
+          return StrFormat("shard %zu /internal/topk reply holds more than "
+                           "k=%llu records: record at byte %llu is extra",
+                           shard, static_cast<unsigned long long>(k),
+                           static_cast<unsigned long long>(
+                               k * kScoreRecordBytes));
         }
-        const size_t records = body.size() / 12;
-        parts[shard].resize(records);
-        for (size_t r = 0; r < records; ++r) {
-          std::memcpy(&parts[shard][r].vertex, body.data() + r * 12,
-                      sizeof(uint32_t));
-          std::memcpy(&parts[shard][r].score, body.data() + r * 12 + 4,
-                      sizeof(double));
+        const std::string malformed = DecodeScoreRecords(
+            shard, "topk", body, options_.plan.shards[shard], &part);
+        if (!malformed.empty()) return malformed;
+        std::vector<std::pair<VertexId, size_t>> seen(part.size());
+        for (size_t r = 0; r < part.size(); ++r) {
+          seen[r] = {part[r].vertex, r};
+        }
+        std::sort(seen.begin(), seen.end());
+        for (size_t i = 1; i < seen.size(); ++i) {
+          if (seen[i].first == seen[i - 1].first) {
+            return StrFormat("shard %zu /internal/topk reply: vertex %u at "
+                             "byte %zu repeats an earlier record",
+                             shard, seen[i].first,
+                             seen[i].second * kScoreRecordBytes);
+          }
         }
         return {};
       },

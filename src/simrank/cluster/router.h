@@ -10,9 +10,10 @@
 //     (/internal/walks) and has b's owner score it (/internal/pair), the
 //     double crossing the wire in native binary.
 //   - single_source(v) fetches v's row once, fans it to every shard
-//     (/internal/partial), and concatenates the returned per-range score
-//     slices in shard order — the shard slices are disjoint and
-//     reproduce the single-node row exactly.
+//     (/internal/partial), and concatenates the returned nonzeros in
+//     shard order — the shard slices are disjoint and reproduce the
+//     single-node row exactly — then writes the dense JSON array from
+//     them (JsonWriter::SparseDoubleArray).
 //   - topk(v, k) fans the row the same way (/internal/topk), then merges
 //     the per-shard top-k candidate lists under ScoredVertexBefore — the
 //     identical (score desc, vertex asc) total order the single-node
@@ -24,6 +25,13 @@
 //     appends the batch to its own WAL before answering, so an acked
 //     update is durable on all shards. Divergent per-shard results
 //     (sequence, fingerprint) fail the request loudly.
+//
+// Both score exchanges answer packed {u32 vertex, f64 score} records
+// (kScoreRecordBytes each, native byte order). Shard output is outside
+// input: a frame that is truncated, leaves the shard's range, or breaks
+// its op's shape (a partial ascending with finite scores > 0; a top-k of
+// at most k distinct ids) fails the request with 500 naming the shard and
+// the byte offset — never the router.
 //
 // Consistency across the fan-out is pinned by overlay sequence: the row
 // fetch reports the owner's sequence, every fanned request carries it,

@@ -153,6 +153,13 @@ size_t JsonDoubleArrayBound(std::span<const double> values) {
   return bytes;
 }
 
+size_t JsonSparseDoubleArrayBound(uint32_t n,
+                                  std::span<const double> values) {
+  // Brackets, (at most) the commas, one character per zero.
+  return 2 + 2 * static_cast<size_t>(n) +
+         values.size() * kMaxJsonDoubleChars;
+}
+
 JsonWriter& JsonWriter::BeginObject() {
   BeforeValue();
   out_.push_back('{');
@@ -253,6 +260,43 @@ JsonWriter& JsonWriter::Null() {
   BeforeValue();
   out_.append("null");
   return *this;
+}
+
+JsonWriter& JsonWriter::SparseDoubleArray(uint32_t n,
+                                          std::span<const uint32_t> ids,
+                                          std::span<const double> values) {
+  OIPSIM_CHECK(ids.size() == values.size());
+  static constexpr size_t kChunk = 64;
+  static const std::string kZeroRun = [] {
+    std::string run;
+    for (size_t i = 0; i < kChunk; ++i) run.append("0,");
+    return run;
+  }();
+  // `count` zero entries, each with its trailing comma.
+  auto zeros = [this](uint32_t count) {
+    while (count > 0) {
+      const uint32_t chunk = std::min<uint32_t>(count, kChunk);
+      out_.append(kZeroRun.data(), 2 * static_cast<size_t>(chunk));
+      count -= chunk;
+    }
+  };
+  BeginArray();
+  uint32_t next = 0;  // first index not yet written
+  for (size_t i = 0; i < ids.size(); ++i) {
+    OIPSIM_CHECK_MSG(ids[i] >= next && ids[i] < n,
+                     "SparseDoubleArray: id %u out of order or >= n=%u",
+                     ids[i], n);
+    zeros(ids[i] - next);
+    AppendJsonDouble(values[i], &out_);
+    out_.push_back(',');
+    next = ids[i] + 1;
+  }
+  zeros(n - next);
+  if (n > 0) {
+    out_.pop_back();  // the last entry's comma
+    stack_.back().has_members = true;
+  }
+  return EndArray();
 }
 
 JsonWriter& JsonWriter::Reserve(size_t bytes) {

@@ -46,6 +46,13 @@ class JsonWriter {
   JsonWriter& Bool(bool value);
   JsonWriter& Null();
 
+  /// A whole array of `n` doubles given sparsely: values[i] at index
+  /// ids[i] (strictly ascending, < n), +0.0 everywhere else. Byte-identical
+  /// to BeginArray(), n Double() calls and EndArray(), but each run of
+  /// zeros is copied in bulk rather than formatted entry by entry.
+  JsonWriter& SparseDoubleArray(uint32_t n, std::span<const uint32_t> ids,
+                                std::span<const double> values);
+
   /// Pre-sizes the output buffer for a document of about `bytes` bytes.
   JsonWriter& Reserve(size_t bytes);
 
@@ -87,6 +94,10 @@ std::string JsonDouble(double value);
 /// commas included (+0 prints as one character, anything else as at most
 /// 24).
 size_t JsonDoubleArrayBound(std::span<const double> values);
+
+/// The same bound for SparseDoubleArray(n, ids, values).
+size_t JsonSparseDoubleArrayBound(uint32_t n,
+                                  std::span<const double> values);
 
 }  // namespace simrank
 

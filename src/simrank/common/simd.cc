@@ -319,10 +319,11 @@ size_t FindFirstInvalidVertexSse4(const uint32_t* vertices, size_t count,
 
 // --------------------------------------------------------- accumulation
 
-__attribute__((target("avx2"))) void AccumulateBucketAvx2(
+__attribute__((target("avx2"))) size_t AccumulateBucketAvx2(
     const uint32_t* vertices, size_t count, uint32_t round, double weight,
-    uint32_t* met_round, double* result) {
+    uint32_t* met_round, double* result, uint32_t* touched) {
   const __m256i vround = _mm256_set1_epi32(static_cast<int32_t>(round));
+  size_t touched_count = 0;
   size_t i = 0;
   for (; i + 8 <= count; i += 8) {
     const __m256i b = _mm256_loadu_si256(
@@ -339,6 +340,7 @@ __attribute__((target("avx2"))) void AccumulateBucketAvx2(
       const unsigned lane = static_cast<unsigned>(__builtin_ctz(fresh));
       fresh &= fresh - 1;
       const uint32_t v = vertices[i + lane];
+      if (met_round[v] == 0) touched[touched_count++] = v;
       result[v] += weight;
       met_round[v] = round;
     }
@@ -346,22 +348,28 @@ __attribute__((target("avx2"))) void AccumulateBucketAvx2(
   for (; i < count; ++i) {
     const uint32_t v = vertices[i];
     if (met_round[v] == round) continue;
+    if (met_round[v] == 0) touched[touched_count++] = v;
     result[v] += weight;
     met_round[v] = round;
   }
+  return touched_count;
 }
 
 #endif  // OIPSIM_SIMD_X86
 
-void AccumulateBucketScalar(const uint32_t* vertices, size_t count,
-                            uint32_t round, double weight,
-                            uint32_t* met_round, double* result) {
+size_t AccumulateBucketScalar(const uint32_t* vertices, size_t count,
+                              uint32_t round, double weight,
+                              uint32_t* met_round, double* result,
+                              uint32_t* touched) {
+  size_t touched_count = 0;
   for (size_t i = 0; i < count; ++i) {
     const uint32_t v = vertices[i];
     if (met_round[v] == round) continue;
+    if (met_round[v] == 0) touched[touched_count++] = v;
     result[v] += weight;
     met_round[v] = round;
   }
+  return touched_count;
 }
 
 /// Branchless binary search narrowing the candidate window of the first
@@ -500,19 +508,21 @@ size_t FindFirstInvalidVertex(SimdLevel level, const uint32_t* vertices,
   return count;
 }
 
-void AccumulateBucket(SimdLevel level, const uint32_t* vertices,
-                      size_t count, uint32_t round, double weight,
-                      uint32_t* met_round, double* result) {
+size_t AccumulateBucket(SimdLevel level, const uint32_t* vertices,
+                        size_t count, uint32_t round, double weight,
+                        uint32_t* met_round, double* result,
+                        uint32_t* touched) {
 #if OIPSIM_SIMD_X86
   if (level == SimdLevel::kAvx2) {
-    AccumulateBucketAvx2(vertices, count, round, weight, met_round, result);
-    return;
+    return AccumulateBucketAvx2(vertices, count, round, weight, met_round,
+                                result, touched);
   }
 #else
   (void)level;
 #endif
   // The SSE tier has no 32-bit gather; its accumulate is the scalar loop.
-  AccumulateBucketScalar(vertices, count, round, weight, met_round, result);
+  return AccumulateBucketScalar(vertices, count, round, weight, met_round,
+                                result, touched);
 }
 
 }  // namespace simrank

@@ -92,13 +92,16 @@ size_t FindFirstInvalidVertex(SimdLevel level, const uint32_t* vertices,
 
 /// First-meeting accumulation over one valid bucket: for every b in
 /// `vertices` with met_round[b] != round, adds `weight` to result[b] and
-/// stamps met_round[b] = round. Caller guarantees the valid-bucket
-/// invariant (all ids < the result extent, strictly ascending), under
-/// which every level — including the gathered AVX2 path — performs the
-/// identical set of updates as the scalar loop.
-void AccumulateBucket(SimdLevel level, const uint32_t* vertices,
-                      size_t count, uint32_t round, double weight,
-                      uint32_t* met_round, double* result);
+/// stamps met_round[b] = round. A b whose stamp was still 0 (never met
+/// before; rounds start at 1) is also appended to `touched`, which must
+/// have room for every such id; returns how many were appended. Caller
+/// guarantees the valid-bucket invariant (all ids < the result extent,
+/// strictly ascending), under which every level — including the gathered
+/// AVX2 path — performs the identical set of updates as the scalar loop.
+size_t AccumulateBucket(SimdLevel level, const uint32_t* vertices,
+                        size_t count, uint32_t round, double weight,
+                        uint32_t* met_round, double* result,
+                        uint32_t* touched);
 
 }  // namespace simrank
 

@@ -1,5 +1,6 @@
 // Top-k similarity queries over a computed score matrix or a single score
-// row (e.g. a single-source estimate from the walk index).
+// row, dense or sparse (e.g. a single-source estimate from the walk
+// index).
 #ifndef OIPSIM_SIMRANK_EXTRA_TOPK_H_
 #define OIPSIM_SIMRANK_EXTRA_TOPK_H_
 
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "simrank/graph/digraph.h"
+#include "simrank/index/sparse_row.h"
 #include "simrank/linalg/dense_matrix.h"
 
 namespace simrank {
@@ -22,25 +24,38 @@ struct ScoredVertex {
 
 /// Top-k over an explicit score row s(query, ·) of length n. Descending
 /// score, ties broken by ascending id; the query vertex is excluded when
-/// `exclude_query` is true. This is the primitive behind TopKSimilar and
-/// the walk-index QueryEngine.
+/// `exclude_query` is true. This is the primitive behind TopKSimilar, and
+/// the oracle TopKFromSparse (the walk-index QueryEngine's path) is
+/// tested against.
 std::vector<ScoredVertex> TopKFromRow(std::span<const double> row,
                                       VertexId query, uint32_t k,
                                       bool exclude_query = true);
 
-/// Top-k over a slice of a score row: `slice[i]` is s(query, base + i).
-/// Same ordering contract as TopKFromRow, with returned vertex ids offset
-/// by `base`. Merging per-shard results — each shard contributing its top
-/// min(k, slice length) over its vertex range — under the same
-/// (score desc, vertex asc) comparator reproduces TopKFromRow over the
-/// full row exactly: the comparator is a strict total order over distinct
-/// ids, and every global top-k member is in its own shard's top-k.
-std::vector<ScoredVertex> TopKFromRowSlice(std::span<const double> slice,
-                                           VertexId base, VertexId query,
-                                           uint32_t k,
-                                           bool exclude_query = true);
+/// Top-k over a sparse row (SparseRow: ascending ids, stored scores > 0),
+/// restricted to the vertices in [begin, min(end, row.n)). Bitwise equal
+/// to TopKFromRow over the dense row's entries in that range (ids kept
+/// global): the stored entries are partial-sorted under
+/// ScoredVertexBefore, and when fewer than k of them qualify, zero-score
+/// vertices follow in ascending id — exactly where the dense sort puts
+/// them. O(nnz·log k + k) instead of O(n). Merging per-shard results —
+/// each shard contributing its top k over its own range — under the same
+/// comparator reproduces the full row's top-k exactly: the comparator is
+/// a strict total order over distinct ids, and every global top-k member
+/// is in its own shard's top-k.
+std::vector<ScoredVertex> TopKFromSparseRange(const SparseRow& row,
+                                              VertexId begin, VertexId end,
+                                              VertexId query, uint32_t k,
+                                              bool exclude_query = true);
 
-/// The TopKFromRow / TopKFromRowSlice comparator, exposed so a router can
+/// TopKFromSparseRange over the whole row: bitwise equal to
+/// TopKFromRow(row.Dense(), query, k, exclude_query).
+inline std::vector<ScoredVertex> TopKFromSparse(const SparseRow& row,
+                                                VertexId query, uint32_t k,
+                                                bool exclude_query = true) {
+  return TopKFromSparseRange(row, 0, row.n, query, k, exclude_query);
+}
+
+/// The TopKFromRow / TopKFromSparse comparator, exposed so a router can
 /// merge per-shard candidates with the identical tie-breaking.
 inline bool ScoredVertexBefore(const ScoredVertex& a, const ScoredVertex& b) {
   return a.score != b.score ? a.score > b.score : a.vertex < b.vertex;

@@ -540,6 +540,7 @@ Status IndexUpdater::ApplyBatch(std::span<const EdgeUpdate> updates,
     overlay->patch_counts_ = old->patch_counts_;
     overlay->deltas_ = old->deltas_;
     overlay->suffix_words_ = old->suffix_words_;
+    overlay->delta_entries_ = old->delta_entries_;
     overlay->rebased_store_ = old->rebased_store_;
   }
 
@@ -846,7 +847,30 @@ void IndexUpdater::FoldSlotEdits(std::span<const SlotEdit> slot_edits,
   // Previous entries of an edited vertex in a slot are replaced by its
   // (base, new) pair; steps before a walk's earliest affected step carry
   // no edit and keep their previous entries. The input arrives grouped by
-  // slot (one stable sort over the flat edit list).
+  // slot (one stable sort over the flat edit list). The surviving previous
+  // entries are already sorted, so only the slot's new entries are sorted
+  // and merged in: the same (position, vertex) order a full sort gives,
+  // since no entry occurs twice.
+  std::vector<VertexId> edited;
+  std::vector<OverlayEntry> fresh_removed;
+  std::vector<OverlayEntry> fresh_added;
+  // One side of a slot diff: the previous entries of unedited vertices,
+  // with the sorted `fresh` ones merged in.
+  auto fold = [&edited](const std::vector<OverlayEntry>* previous,
+                        const std::vector<OverlayEntry>& fresh,
+                        std::vector<OverlayEntry>* out) {
+    if (previous != nullptr) {
+      for (const OverlayEntry& entry : *previous) {
+        if (!std::binary_search(edited.begin(), edited.end(),
+                                entry.vertex)) {
+          out->push_back(entry);
+        }
+      }
+    }
+    const auto kept = static_cast<std::ptrdiff_t>(out->size());
+    out->insert(out->end(), fresh.begin(), fresh.end());
+    std::inplace_merge(out->begin(), out->begin() + kept, out->end());
+  };
   for (size_t at_edit = 0; at_edit < slot_edits.size();) {
     const uint64_t slot = slot_edits[at_edit].slot;
     const size_t begin = at_edit;
@@ -855,43 +879,41 @@ void IndexUpdater::FoldSlotEdits(std::span<const SlotEdit> slot_edits,
     }
     const std::span<const SlotEdit> edits(slot_edits.data() + begin,
                                           at_edit - begin);
-    auto next = std::make_shared<DeltaOverlay::SlotDelta>();
-    if (auto it = overlay->deltas_.find(slot);
-        it != overlay->deltas_.end()) {
-      auto edited = [&edits](VertexId v) {
-        for (const SlotEdit& edit : edits) {
-          if (edit.vertex == v) return true;
-        }
-        return false;
-      };
-      for (const OverlayEntry& entry : it->second->removed) {
-        if (!edited(entry.vertex)) next->removed.push_back(entry);
-      }
-      for (const OverlayEntry& entry : it->second->added) {
-        if (!edited(entry.vertex)) next->added.push_back(entry);
-      }
-    }
+    edited.clear();
+    fresh_removed.clear();
+    fresh_added.clear();
     for (const SlotEdit& edit : edits) {
+      edited.push_back(edit.vertex);
       if (edit.base_position == edit.new_position) continue;
       if (edit.base_position != kDead) {
-        next->removed.push_back(
+        fresh_removed.push_back(
             OverlayEntry{edit.base_position, edit.vertex});
       }
       if (edit.new_position != kDead) {
-        next->added.push_back(OverlayEntry{edit.new_position, edit.vertex});
+        fresh_added.push_back(OverlayEntry{edit.new_position, edit.vertex});
       }
     }
-    std::sort(next->removed.begin(), next->removed.end());
-    std::sort(next->added.begin(), next->added.end());
+    std::sort(edited.begin(), edited.end());
+    std::sort(fresh_removed.begin(), fresh_removed.end());
+    std::sort(fresh_added.begin(), fresh_added.end());
+
+    const auto it = overlay->deltas_.find(slot);
+    const DeltaOverlay::SlotDelta* prev =
+        it == overlay->deltas_.end() ? nullptr : it->second.get();
+    auto next = std::make_shared<DeltaOverlay::SlotDelta>();
+    fold(prev == nullptr ? nullptr : &prev->removed, fresh_removed,
+         &next->removed);
+    fold(prev == nullptr ? nullptr : &prev->added, fresh_added,
+         &next->added);
+    if (prev != nullptr) {
+      overlay->delta_entries_ -= prev->removed.size() + prev->added.size();
+    }
+    overlay->delta_entries_ += next->removed.size() + next->added.size();
     if (next->removed.empty() && next->added.empty()) {
       overlay->deltas_.erase(slot);
     } else {
       overlay->deltas_[slot] = std::move(next);
     }
-  }
-  overlay->delta_entries_ = 0;
-  for (const auto& [slot, delta] : overlay->deltas_) {
-    overlay->delta_entries_ += delta->removed.size() + delta->added.size();
   }
 }
 

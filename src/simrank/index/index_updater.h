@@ -281,8 +281,9 @@ class IndexUpdater {
                       uint64_t expected_post_fingerprint);
 
   /// Merges a slot-sorted flat edit list into `overlay`'s slot diffs
-  /// (replacing the edited vertices' prior entries) and recomputes
-  /// delta_entries_. Shared by the patch path and the compaction rebase.
+  /// (replacing the edited vertices' prior entries), keeping
+  /// delta_entries_ a running total. Shared by the patch path and the
+  /// compaction rebase.
   void FoldSlotEdits(std::span<const SlotEdit> edits, DeltaOverlay* overlay);
 
   /// The compaction pipeline behind Compact() and the background trigger.

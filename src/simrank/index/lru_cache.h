@@ -27,6 +27,9 @@ struct LruCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
+  /// Sum of the byte sizes given to Put over the resident entries — a
+  /// gauge, not a counter.
+  uint64_t resident_bytes = 0;
 };
 
 /// Fixed-capacity LRU map sharded by key hash. Thread-safe.
@@ -58,26 +61,32 @@ class ShardedLruCache {
     }
     ++shard.stats.hits;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->second;
+    return it->second->value;
   }
 
   /// Inserts (or refreshes) `key`, evicting the shard's least-recently-used
-  /// entry when full.
-  void Put(const Key& key, Value value) {
+  /// entry when full. `bytes` is the value's size as resident_bytes
+  /// counts it (capacity stays a count of entries).
+  void Put(const Key& key, Value value, uint64_t bytes = 0) {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      it->second->second = std::move(value);
+      Entry& entry = *it->second;
+      shard.stats.resident_bytes += bytes - entry.bytes;
+      entry.value = std::move(value);
+      entry.bytes = bytes;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return;
     }
     if (shard.lru.size() >= capacity_per_shard_) {
-      shard.map.erase(shard.lru.back().first);
+      shard.stats.resident_bytes -= shard.lru.back().bytes;
+      shard.map.erase(shard.lru.back().key);
       shard.lru.pop_back();
       ++shard.stats.evictions;
     }
-    shard.lru.emplace_front(key, std::move(value));
+    shard.lru.push_front(Entry{key, std::move(value), bytes});
+    shard.stats.resident_bytes += bytes;
     shard.map.emplace(key, shard.lru.begin());
   }
 
@@ -88,18 +97,21 @@ class ShardedLruCache {
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) return false;
+    shard.stats.resident_bytes -= it->second->bytes;
     shard.lru.erase(it->second);
     shard.map.erase(it);
     return true;
   }
 
   /// Drops every entry in every shard (an index update made all cached
-  /// rows stale). Counters keep accumulating across the clear.
+  /// rows stale). Counters keep accumulating across the clear;
+  /// resident_bytes returns to 0.
   void Clear() {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       shard->lru.clear();
       shard->map.clear();
+      shard->stats.resident_bytes = 0;
     }
   }
 
@@ -121,17 +133,23 @@ class ShardedLruCache {
       total.hits += shard->stats.hits;
       total.misses += shard->stats.misses;
       total.evictions += shard->stats.evictions;
+      total.resident_bytes += shard->stats.resident_bytes;
     }
     return total;
   }
 
  private:
+  struct Entry {
+    Key key;
+    Value value;
+    uint64_t bytes = 0;
+  };
+
   struct Shard {
     mutable std::mutex mutex;
     /// Front = most recently used.
-    std::list<std::pair<Key, Value>> lru;
-    std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator>
-        map;
+    std::list<Entry> lru;
+    std::unordered_map<Key, typename std::list<Entry>::iterator> map;
     Stats stats;
   };
 

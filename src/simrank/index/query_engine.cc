@@ -25,7 +25,8 @@ Status QueryEngine::CheckVertex(VertexId v) const {
   return Status::OK();
 }
 
-QueryEngine::Row QueryEngine::GetFresh(VertexId v, uint64_t sequence) {
+std::shared_ptr<QueryEngine::CachedRow> QueryEngine::GetFresh(
+    VertexId v, uint64_t sequence) {
   TraceScope scope(TraceStage::kCacheLookup);
   if (auto hit = cache_.Get(v)) {
     if (hit->sequence == sequence) {
@@ -51,24 +52,25 @@ Result<double> QueryEngine::PairAtSnapshot(
   const uint64_t sequence = overlay == nullptr ? 0 : overlay->sequence();
   // A resident (and fresh) row of either endpoint already holds the
   // answer.
-  if (Row row = GetFresh(a, sequence)) return (*row)[b];
-  if (Row row = GetFresh(b, sequence)) return (*row)[a];
+  if (auto row = GetFresh(a, sequence)) return row->sparse.Score(b);
+  if (auto row = GetFresh(b, sequence)) return row->sparse.Score(a);
   return index_.EstimatePair(a, b, overlay.get());
 }
 
-Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
+Result<std::shared_ptr<QueryEngine::CachedRow>>
+QueryEngine::SingleSourceAtSnapshot(
     VertexId v, const std::shared_ptr<const DeltaOverlay>& overlay) {
   OIPSIM_RETURN_IF_ERROR(CheckVertex(v));
   const uint64_t sequence = overlay == nullptr ? 0 : overlay->sequence();
-  if (Row row = GetFresh(v, sequence)) return row;
-  Row row = std::make_shared<const std::vector<double>>(
-      index_.EstimateSingleSource(v, overlay.get()));
+  if (auto row = GetFresh(v, sequence)) return row;
+  auto row = std::make_shared<CachedRow>(
+      index_.EstimateSingleSourceSparse(v, overlay.get()));
   // Stamped with the sequence the row was actually computed under; if an
   // update raced us, the stamp is stale and the row reads as a miss —
   // and in that case skip the insert rather than overwrite a row another
   // reader may have cached under the newer overlay.
   if (index_.overlay_sequence() == sequence) {
-    cache_.Put(v, VersionedRow{sequence, row});
+    cache_.Put(v, VersionedRow{sequence, row}, row->Bytes());
   }
   return row;
 }
@@ -76,9 +78,9 @@ Result<QueryEngine::Row> QueryEngine::SingleSourceAtSnapshot(
 Result<std::vector<ScoredVertex>> QueryEngine::TopKAtSnapshot(
     VertexId v, uint32_t k,
     const std::shared_ptr<const DeltaOverlay>& overlay) {
-  Result<Row> row = SingleSourceAtSnapshot(v, overlay);
+  auto row = SingleSourceAtSnapshot(v, overlay);
   if (!row.ok()) return row.status();
-  return TopKFromRow(**row, v, k, /*exclude_query=*/true);
+  return TopKFromSparse((*row)->sparse, v, k, /*exclude_query=*/true);
 }
 
 Result<double> QueryEngine::Pair(VertexId a, VertexId b) {
@@ -87,8 +89,25 @@ Result<double> QueryEngine::Pair(VertexId a, VertexId b) {
   return PairAtSnapshot(a, b, index_.overlay_snapshot());
 }
 
+Result<QueryEngine::SparseRowPtr> QueryEngine::SingleSourceSparse(
+    VertexId v) {
+  auto row = SingleSourceAtSnapshot(v, index_.overlay_snapshot());
+  if (!row.ok()) return row.status();
+  // Aliasing: the handle keeps the whole cached row alive.
+  return SparseRowPtr(*row, &(*row)->sparse);
+}
+
 Result<QueryEngine::Row> QueryEngine::SingleSource(VertexId v) {
-  return SingleSourceAtSnapshot(v, index_.overlay_snapshot());
+  auto row = SingleSourceAtSnapshot(v, index_.overlay_snapshot());
+  if (!row.ok()) return row.status();
+  CachedRow& cached = **row;
+  std::lock_guard<std::mutex> lock(cached.dense_mutex);
+  Row dense = cached.dense.lock();
+  if (dense == nullptr) {
+    dense = std::make_shared<const std::vector<double>>(cached.sparse.Dense());
+    cached.dense = dense;
+  }
+  return dense;
 }
 
 Result<std::vector<ScoredVertex>> QueryEngine::TopK(VertexId v, uint32_t k) {

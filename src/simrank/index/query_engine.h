@@ -3,18 +3,22 @@
 // QueryEngine answers the three point-query shapes a SimRank service needs
 // — Pair(a, b), SingleSource(v) and TopK(v, k) — from a prebuilt walk
 // index, with a sharded LRU cache of single-source rows in front of the
-// estimator. A cached query is an O(1) row lookup; top-k and pair queries
-// are served from the cached row when one is resident. Row misses go
-// through the index's inverted-position path (output-sensitive, bitwise
-// identical to the legacy full scan — see WalkIndex::EstimateSingleSource),
-// so the engine serves identically whether the index is fully resident or
-// mmap-backed. Batch variants fan the work across a thread pool (the cache
-// is thread-safe), which is how a server drains a request queue.
+// estimator. Rows are cached sparse (SparseRow: the ~nnz entries the
+// inverted-position path touched, ~12 B each, instead of 8·n B), so a
+// cached pair is a binary search, a cached top-k a partial sort of the
+// nonzeros (TopKFromSparse), and a resident row costs memory in
+// proportion to its output, not to n. Row misses go through the index's
+// output-sensitive estimator (bitwise identical to the legacy full scan —
+// see WalkIndex::EstimateSingleSourceSparse), so the engine serves
+// identically whether the index is fully resident or mmap-backed. Batch
+// variants fan the work across a thread pool (the cache is thread-safe),
+// which is how a server drains a request queue.
 #ifndef OIPSIM_SIMRANK_INDEX_QUERY_ENGINE_H_
 #define OIPSIM_SIMRANK_INDEX_QUERY_ENGINE_H_
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -51,25 +55,35 @@ struct QueryEngineOptions {
 /// stale rows eagerly.
 class QueryEngine {
  public:
-  /// A cached, immutable single-source score row s(v, ·).
+  /// An immutable dense single-source score row s(v, ·).
   using Row = std::shared_ptr<const std::vector<double>>;
+  /// A cached, immutable sparse single-source score row.
+  using SparseRowPtr = std::shared_ptr<const SparseRow>;
 
   explicit QueryEngine(const WalkIndex& index,
                        const QueryEngineOptions& options = {});
 
   OIPSIM_DISALLOW_COPY_AND_ASSIGN(QueryEngine);
 
-  /// Estimate of s(a, b). Served from a cached row when one of the
-  /// endpoints' rows is resident, otherwise O(R·L) from the index.
+  /// Estimate of s(a, b). Served from a cached row (binary search) when
+  /// one of the endpoints' rows is resident, otherwise O(R·L) from the
+  /// index.
   Result<double> Pair(VertexId a, VertexId b);
 
-  /// The full estimated row s(v, ·), computed on miss — via the inverted
-  /// position index, touching only vertices that share a walk slot with
-  /// `v` — and cached.
+  /// The nonzero entries of the estimated row s(v, ·), computed on miss —
+  /// via the inverted position index, touching only vertices that share a
+  /// walk slot with `v` — and cached. What the server serializes.
+  Result<SparseRowPtr> SingleSourceSparse(VertexId v);
+
+  /// SingleSourceSparse expanded to the full dense row. The cache owns
+  /// only the sparse row; the expansion is shared with every caller that
+  /// asks for the same cached row while an earlier one still holds it,
+  /// and freed when the last one lets go.
   Result<Row> SingleSource(VertexId v);
 
   /// The k vertices most similar to `v` (self excluded), from the — cached
-  /// — single-source row. Ties break by ascending id.
+  /// — sparse single-source row via TopKFromSparse: bitwise the answer
+  /// TopKFromRow gives on the dense row. Ties break by ascending id.
   Result<std::vector<ScoredVertex>> TopK(VertexId v, uint32_t k);
 
   /// Batch variants: answer[i] corresponds to queries[i]. Work is spread
@@ -89,24 +103,39 @@ class QueryEngine {
   /// not just v's.)
   void InvalidateCache() { cache_.Clear(); }
 
-  /// Aggregated cache counters (hits/misses/evictions) since construction.
-  using CacheStats = ShardedLruCache<VertexId, Row>::Stats;
+  /// Aggregated cache counters (hits/misses/evictions) since construction,
+  /// and resident_bytes: the bytes the cached rows hold right now (per
+  /// row a fixed header plus 12 B per nonzero, see CachedRow).
+  using CacheStats = LruCacheStats;
   CacheStats cache_stats() const { return cache_.stats(); }
 
   const WalkIndex& index() const { return index_; }
 
  private:
+  /// One cached row: its sparse entries, plus a weak handle on the dense
+  /// expansion SingleSource last handed out for it.
+  struct CachedRow {
+    explicit CachedRow(SparseRow row) : sparse(std::move(row)) {}
+
+    /// What the cache charges for this row.
+    uint64_t Bytes() const { return sizeof(CachedRow) + sparse.HeapBytes(); }
+
+    const SparseRow sparse;
+    std::mutex dense_mutex;
+    std::weak_ptr<const std::vector<double>> dense;
+  };
+
   /// Cache value: the row plus the overlay sequence it was computed under.
   struct VersionedRow {
     uint64_t sequence = 0;
-    Row row;
+    std::shared_ptr<CachedRow> row;
   };
 
   Status CheckVertex(VertexId v) const;
 
   /// The cached row of `v` if it is resident and was computed under
   /// overlay sequence `sequence`; stale entries read as absent.
-  Row GetFresh(VertexId v, uint64_t sequence);
+  std::shared_ptr<CachedRow> GetFresh(VertexId v, uint64_t sequence);
 
   /// Pair/SingleSource/TopK against one pinned overlay snapshot — the
   /// shared core of the public entry points and the version-consistent
@@ -114,7 +143,7 @@ class QueryEngine {
   Result<double> PairAtSnapshot(
       VertexId a, VertexId b,
       const std::shared_ptr<const DeltaOverlay>& overlay);
-  Result<Row> SingleSourceAtSnapshot(
+  Result<std::shared_ptr<CachedRow>> SingleSourceAtSnapshot(
       VertexId v, const std::shared_ptr<const DeltaOverlay>& overlay);
   Result<std::vector<ScoredVertex>> TopKAtSnapshot(
       VertexId v, uint32_t k,

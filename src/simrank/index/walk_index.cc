@@ -1,5 +1,6 @@
 #include "simrank/index/walk_index.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -164,6 +165,35 @@ std::vector<uint32_t> ServingRow(const WalkStore& store,
   return row;
 }
 
+/// Per-thread accumulation state of the sparse core, reused across
+/// queries and across indexes. Between calls every `sum` entry is +0.0
+/// and every `met_round` entry 0: a query resets exactly the ids it
+/// touched, so only a thread's first row (or its first on a larger
+/// index) pays O(n); every later one costs O(output).
+struct AccumulationScratch {
+  /// Unnormalized first-meeting sums, indexed by vertex.
+  std::vector<double> sum;
+  /// met_round[b] == r+1 marks that b's walk already met the query's
+  /// within fingerprint r (first-meeting semantics) — an epoch stamp, so
+  /// the array is never re-cleared mid-query; 0 means never met.
+  std::vector<uint32_t> met_round;
+  /// The ids whose stamp left 0, in first-meeting order; touched[0,
+  /// touched_count) are the row's nonzeros (the query vertex excluded).
+  std::vector<uint32_t> touched;
+  size_t touched_count = 0;
+  /// A bucket merged with its overlay slot diff.
+  std::vector<uint32_t> merged_bucket;
+
+  void Reserve(uint32_t n) {
+    if (sum.size() >= n) return;
+    sum.resize(n, 0.0);
+    met_round.resize(n, 0);
+    touched.resize(n);
+  }
+};
+
+thread_local AccumulationScratch tls_scratch;
+
 /// First-meeting accumulation over one bucket under base+overlay. The
 /// scalar path is the checked ForEachBucketVertex walk — the reference
 /// semantics, including the fatal diagnostic on out-of-range ids. With a
@@ -176,9 +206,7 @@ void AccumulateBucketVertices(const WalkStore& store,
                               const DeltaOverlay* overlay, uint32_t r,
                               uint32_t t, uint32_t pv, uint32_t round,
                               double weight, uint32_t n,
-                              std::vector<uint32_t>* merged_scratch,
-                              std::vector<uint32_t>* met_round,
-                              std::vector<double>* result) {
+                              AccumulationScratch* scratch) {
   TraceRecorder* const recorder = CurrentTraceRecorder();
   if (recorder != nullptr) {
     recorder->Add(TraceCounter::kSlotsProbed, 1);
@@ -186,6 +214,8 @@ void AccumulateBucketVertices(const WalkStore& store,
       recorder->Add(TraceCounter::kOverlayRowsMerged, 1);
     }
   }
+  uint32_t* const met_round = scratch->met_round.data();
+  double* const sum = scratch->sum.data();
   const SimdLevel simd = ActiveSimdLevel();
   if (simd != SimdLevel::kScalar) {
     const uint32_t* vertices = nullptr;
@@ -198,16 +228,18 @@ void AccumulateBucketVertices(const WalkStore& store,
       count = base.size();
     } else {
       TraceScope merge_scope(TraceStage::kOverlayMerge);
-      CollectBucketVertices(store, overlay, r, t, pv, merged_scratch);
-      vertices = merged_scratch->data();
-      count = merged_scratch->size();
+      CollectBucketVertices(store, overlay, r, t, pv,
+                            &scratch->merged_bucket);
+      vertices = scratch->merged_bucket.data();
+      count = scratch->merged_bucket.size();
     }
     if (FindFirstInvalidVertex(simd, vertices, count, n) == count) {
       if (recorder != nullptr) {
         recorder->Add(TraceCounter::kBucketEntries, count);
       }
-      AccumulateBucket(simd, vertices, count, round, weight,
-                       met_round->data(), result->data());
+      scratch->touched_count += AccumulateBucket(
+          simd, vertices, count, round, weight, met_round, sum,
+          scratch->touched.data() + scratch->touched_count);
       return;
     }
   }
@@ -218,9 +250,10 @@ void AccumulateBucketVertices(const WalkStore& store,
                      "%u >= n=%u (run VerifyPayload on this file)",
                      b, n);
     ++scanned;
-    if ((*met_round)[b] == round) return;
-    (*result)[b] += weight;
-    (*met_round)[b] = round;
+    if (met_round[b] == round) return;
+    if (met_round[b] == 0) scratch->touched[scratch->touched_count++] = b;
+    sum[b] += weight;
+    met_round[b] = round;
   });
   if (recorder != nullptr) {
     recorder->Add(TraceCounter::kBucketEntries, scanned);
@@ -237,10 +270,10 @@ double WalkIndex::EstimatePair(VertexId a, VertexId b,
                              b, overlay);
 }
 
-std::vector<double> WalkIndex::EstimateSingleSource(
+SparseRow WalkIndex::EstimateSingleSourceSparse(
     VertexId v, const DeltaOverlay* overlay) const {
   OIPSIM_CHECK(v < n());
-  return EstimateSingleSourceWithRow(
+  return EstimateSingleSourceSparseWithRow(
       v, ServingRow(ServingStore(overlay), overlay, v), overlay);
 }
 
@@ -271,7 +304,7 @@ double WalkIndex::EstimatePairWithRow(std::span<const uint32_t> row_a,
   return sum / static_cast<double>(options_.num_fingerprints);
 }
 
-std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
+SparseRow WalkIndex::EstimateSingleSourceSparseWithRow(
     VertexId v, std::span<const uint32_t> row_v,
     const DeltaOverlay* overlay) const {
   const WalkStore& store = ServingStore(overlay);
@@ -289,23 +322,20 @@ std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
     TraceScope prefetch_scope(TraceStage::kColdRead);
     store.PrefetchSlots();
   }
-  std::vector<double> result(n, 0.0);
-  // met_round[b] == r+1 marks that b's walk already met v's walk within
-  // fingerprint r (first-meeting semantics) — an epoch stamp, so the array
-  // is never re-cleared.
-  std::vector<uint32_t> met_round(n, 0);
-  std::vector<uint32_t> merged_scratch;
+  AccumulationScratch& scratch = tls_scratch;
+  scratch.Reserve(n);
+  scratch.touched_count = 0;
   TraceScope probe_scope(TraceStage::kIndexProbe);
   for (uint32_t r = 0; r < R; ++r) {
     const uint32_t round = r + 1;
-    met_round[v] = round;
+    scratch.met_round[v] = round;
     for (uint32_t t = 1; t <= L; ++t) {
       const uint32_t pv = row_v[r * row + t];
       if (pv == kDeadWalk) break;  // v's walk died: no further meetings
       // Only the vertices actually parked at pv in this slot — the
       // output-sensitive core. Buckets (merged with the overlay's slot
       // diff when one is active) are ascending by vertex id, the same
-      // per-b accumulation order as the scan, so each result entry is the
+      // per-b accumulation order as the scan, so each sum is the
       // identical left-to-right sum. Every id is bounds-checked before
       // use (corruption can break the ascending invariant too, so
       // checking only the last element would not do): an out-of-range id
@@ -314,16 +344,29 @@ std::vector<double> WalkIndex::EstimateSingleSourceWithRow(
       // write — AccumulateBucketVertices guards before any vector fast
       // path and falls back to the checked scalar walk.
       AccumulateBucketVertices(store, overlay, r, t, pv, round,
-                               damping_powers_[t], n, &merged_scratch,
-                               &met_round, &result);
+                               damping_powers_[t], n, &scratch);
     }
   }
-  // Divide (not multiply by a reciprocal) so every entry is bit-identical
-  // to the corresponding EstimatePair result for any fingerprint count.
-  const double fingerprints =
-      static_cast<double>(options_.num_fingerprints);
-  for (double& score : result) score /= fingerprints;
-  result[v] = 1.0;
+  // v is stamped before every round, so it is never among the touched
+  // ids (leaving room for it); it goes in at 1.0. Each score is divided
+  // (not multiplied by a reciprocal) so it is bit-identical to the
+  // corresponding EstimatePair result for any fingerprint count.
+  // Resetting the touched entries restores the scratch invariant for the
+  // next query on this thread.
+  scratch.touched[scratch.touched_count++] = v;
+  const std::span<uint32_t> touched(scratch.touched.data(),
+                                    scratch.touched_count);
+  std::sort(touched.begin(), touched.end());
+  SparseRow result;
+  result.n = n;
+  result.ids.assign(touched.begin(), touched.end());
+  result.scores.reserve(touched.size());
+  const double fingerprints = static_cast<double>(R);
+  for (const uint32_t b : touched) {
+    result.scores.push_back(b == v ? 1.0 : scratch.sum[b] / fingerprints);
+    scratch.sum[b] = 0.0;
+    scratch.met_round[b] = 0;
+  }
   return result;
 }
 

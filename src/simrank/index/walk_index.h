@@ -11,8 +11,10 @@
 // through the per-(fingerprint, step) inverted position index of the
 // storage layer: accumulation touches only the vertices whose walk
 // actually coincides with the query's at some slot (output-sensitive,
-// ProbeSim-style), yet produces bitwise-identical scores to the full
-// O(R·L·n) row scan, which remains available for verification.
+// ProbeSim-style) and returns just those entries as a SparseRow, yet
+// produces bitwise-identical scores to the full O(R·L·n) row scan, which
+// remains available for verification. Dense rows are expansions of the
+// sparse one, kept for oracles, benches and whole-row clients.
 //
 // The index is built once (in parallel across a thread pool; each
 // fingerprint is seeded deterministically, so the result is bit-identical
@@ -38,6 +40,7 @@
 #include "simrank/core/options.h"
 #include "simrank/graph/digraph.h"
 #include "simrank/index/delta_overlay.h"
+#include "simrank/index/sparse_row.h"
 #include "simrank/index/walk_store.h"
 
 namespace simrank {
@@ -161,19 +164,30 @@ class WalkIndex {
   double EstimatePair(VertexId a, VertexId b,
                       const DeltaOverlay* overlay) const;
 
-  /// Estimates the full row s(v, ·) through the inverted position index:
-  /// per (fingerprint, step) slot, only the vertices whose walk sits at
-  /// the query walk's position are touched — O(R·L·log n + output) versus
-  /// the scan's O(R·L·n) — and the result is bitwise identical to
-  /// EstimateSingleSourceScan and to n EstimatePair calls. With an overlay
-  /// (published or passed explicitly) the patched walks and slot diffs are
-  /// merged in, and the row is bitwise identical to what an index rebuilt
-  /// on the updated graph would serve.
+  /// Estimates the row s(v, ·) through the inverted position index, as
+  /// its nonzero entries: per (fingerprint, step) slot, only the vertices
+  /// whose walk sits at the query walk's position are touched — O(R·L·log
+  /// n + output) versus the scan's O(R·L·n). Accumulation runs in
+  /// per-thread scratch that is reset only at the ids a query touched, so
+  /// neither the work nor the returned row grows with n. Expanded with
+  /// SparseRow::Dense(), the result is bitwise identical to
+  /// EstimateSingleSourceScan and to n EstimatePair calls. The row is
+  /// served against exactly `overlay` (nullptr = base): its patched walks
+  /// and slot diffs are merged in, and the row is bitwise identical to
+  /// what an index rebuilt on the updated graph would serve.
+  SparseRow EstimateSingleSourceSparse(VertexId v,
+                                       const DeltaOverlay* overlay) const;
+
+  /// The same row as a dense n-length array — the expansion oracles,
+  /// benches and clients that want every entry use. The no-overlay
+  /// overload serves the published overlay.
   std::vector<double> EstimateSingleSource(VertexId v) const {
     return EstimateSingleSource(v, overlay_snapshot().get());
   }
   std::vector<double> EstimateSingleSource(
-      VertexId v, const DeltaOverlay* overlay) const;
+      VertexId v, const DeltaOverlay* overlay) const {
+    return EstimateSingleSourceSparse(v, overlay).Dense();
+  }
 
   /// Cross-shard variants: the query vertex's walk row arrives fully
   /// materialized (base + overlay merged by its owning shard,
@@ -182,14 +196,19 @@ class WalkIndex {
   /// corresponding local estimators exactly, so on a shard index whose
   /// local rows cover a vertex range the results are bitwise equal to the
   /// single-node answer restricted to that range. `v` is only used for
-  /// the diagonal (result[v] = 1, never accumulated); `a` must differ
+  /// the diagonal (s(v, v) = 1, never accumulated); `a` must differ
   /// from `b` in the pair variant (equal ids never cross shards — the
   /// owner serves them locally).
   double EstimatePairWithRow(std::span<const uint32_t> row_a, VertexId b,
                              const DeltaOverlay* overlay) const;
-  std::vector<double> EstimateSingleSourceWithRow(
+  SparseRow EstimateSingleSourceSparseWithRow(
       VertexId v, std::span<const uint32_t> row,
       const DeltaOverlay* overlay) const;
+  std::vector<double> EstimateSingleSourceWithRow(
+      VertexId v, std::span<const uint32_t> row,
+      const DeltaOverlay* overlay) const {
+    return EstimateSingleSourceSparseWithRow(v, row, overlay).Dense();
+  }
 
   /// Materializes v's full walk row — base positions with `overlay`'s
   /// patches merged — in the layout the WithRow estimators consume:

@@ -1,5 +1,6 @@
 #include "simrank/server/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -70,15 +71,19 @@ FrontendResponse ExecutePair(QueryEngine& engine,
 
 FrontendResponse ExecuteSingleSource(QueryEngine& engine,
                                                 const QueryArgs& args) {
-  auto row = engine.SingleSource(args.v);
+  auto row = engine.SingleSourceSparse(args.v);
   if (!row.ok()) return EngineErrorResponse(row.status());
+  const SparseRow& sparse = **row;
   TraceScope serialize(TraceStage::kSerialize);
   JsonWriter json;
   // 32: room for the {"v":…,"scores":…} envelope around the row.
-  json.Reserve(32 + JsonDoubleArrayBound(**row));
-  json.BeginObject().Key("v").Uint(args.v).Key("scores").BeginArray();
-  for (const double score : **row) json.Double(score);
-  json.EndArray().EndObject();
+  json.Reserve(32 + JsonSparseDoubleArrayBound(sparse.n, sparse.scores));
+  json.BeginObject()
+      .Key("v")
+      .Uint(args.v)
+      .Key("scores")
+      .SparseDoubleArray(sparse.n, sparse.ids, sparse.scores)
+      .EndObject();
   return {200, std::move(json).Take()};
 }
 
@@ -285,10 +290,19 @@ std::vector<std::pair<std::string, std::string>> ExchangeHeaders(
                                  options.shard_plan.epoch))}};
 }
 
+/// Appends one packed {u32 vertex, f64 score} exchange record.
+void AppendScoreRecord(VertexId vertex, double score, std::string* out) {
+  char record[kScoreRecordBytes];
+  std::memcpy(record, &vertex, sizeof(uint32_t));
+  std::memcpy(record + sizeof(uint32_t), &score, sizeof(double));
+  out->append(record, sizeof(record));
+}
+
 /// The /internal/* exchange ops (shard role only). Bodies are binary —
-/// native-endian walk rows in, native-endian score slices out — so the
-/// doubles that cross the wire are the exact bits the estimators
-/// produced; the router's merge is then bitwise by construction.
+/// native-endian walk rows in, native-endian {u32 vertex, f64 score}
+/// records out — so the doubles that cross the wire are the exact bits
+/// the estimators produced; the router's merge is then bitwise by
+/// construction.
 FrontendResponse ExecuteInternal(QueryEngine& engine,
                                  const IndexUpdater* updater,
                                  const ServerOptions& options,
@@ -381,31 +395,31 @@ FrontendResponse ExecuteInternal(QueryEngine& engine,
                   row[0], args.v));
     return out;
   }
-  const std::vector<double> full =
-      index.EstimateSingleSourceWithRow(args.v, row, view.overlay.get());
+  const SparseRow sparse = index.EstimateSingleSourceSparseWithRow(
+      args.v, row, view.overlay.get());
+  out.status = 200;
+  out.content_type = "application/octet-stream";
   if (args.internal == QueryArgs::Internal::kPartial) {
-    out.status = 200;
-    out.content_type = "application/octet-stream";
-    out.body.assign(
-        reinterpret_cast<const char*>(full.data() + range.begin),
-        static_cast<size_t>(range.end - range.begin) * sizeof(double));
+    // The nonzeros of this shard's slice, ascending by vertex; every
+    // vertex the records skip scores 0.
+    const auto first =
+        std::lower_bound(sparse.ids.begin(), sparse.ids.end(), range.begin);
+    const auto last =
+        std::lower_bound(first, sparse.ids.end(), range.end);
+    out.body.reserve(static_cast<size_t>(last - first) * kScoreRecordBytes);
+    for (auto it = first; it != last; ++it) {
+      AppendScoreRecord(*it, sparse.scores[it - sparse.ids.begin()],
+                        &out.body);
+    }
     return out;
   }
 
-  // kTopK: this shard's top-k of its slice, as packed {u32 vertex,
-  // f64 score} records in rank order.
-  const std::vector<ScoredVertex> top = TopKFromRowSlice(
-      std::span<const double>(full).subspan(range.begin,
-                                            range.end - range.begin),
-      range.begin, args.v, args.k);
-  out.status = 200;
-  out.content_type = "application/octet-stream";
-  out.body.reserve(top.size() * 12);
+  // kTopK: this shard's top-k of its slice, in rank order.
+  const std::vector<ScoredVertex> top = TopKFromSparseRange(
+      sparse, range.begin, range.end, args.v, args.k);
+  out.body.reserve(top.size() * kScoreRecordBytes);
   for (const ScoredVertex& scored : top) {
-    char record[12];
-    std::memcpy(record, &scored.vertex, sizeof(uint32_t));
-    std::memcpy(record + 4, &scored.score, sizeof(double));
-    out.body.append(record, sizeof(record));
+    AppendScoreRecord(scored.vertex, scored.score, &out.body);
   }
   return out;
 }
@@ -924,7 +938,7 @@ Status SimRankServer::Warm(std::span<const VertexId> vertices) {
   // cache: the SingleSource misses below fault warm pages, not cold disk.
   engine_.index().store().Prefetch(vertices);
   for (const VertexId v : vertices) {
-    auto row = engine_.SingleSource(v);
+    auto row = engine_.SingleSourceSparse(v);
     if (!row.ok()) return row.status();
   }
   return Status::OK();
@@ -1047,6 +1061,7 @@ std::string SimRankServer::BuildStatsBody() const {
   json.Key("hits").Uint(cache.hits);
   json.Key("misses").Uint(cache.misses);
   json.Key("evictions").Uint(cache.evictions);
+  json.Key("resident_bytes").Uint(cache.resident_bytes);
   json.EndObject();
   // Per-endpoint dispatch-to-completion latency: count/sum plus the fixed
   // log-spaced buckets (upper bounds in µs; last bucket +Inf) and
@@ -1295,6 +1310,8 @@ std::string SimRankServer::BuildMetricsBody() const {
   counter("simrank_cache_misses_total", "", cache.misses);
   type("simrank_cache_evictions_total", "counter");
   counter("simrank_cache_evictions_total", "", cache.evictions);
+  type("simrank_row_cache_bytes", "gauge");
+  counter("simrank_row_cache_bytes", "", cache.resident_bytes);
 
   type("simrank_index_vertices", "gauge");
   counter("simrank_index_vertices", "", index.n());

@@ -83,6 +83,10 @@ const char* ServerEndpointMethod(ServerEndpoint endpoint);
 /// the server and the router admit their query routes under these.
 std::vector<AdmissionClass> ServerEndpointClasses();
 
+/// Bytes of one /internal/partial or /internal/topk reply record: a
+/// native-endian u32 vertex id followed by its f64 score, packed.
+inline constexpr size_t kScoreRecordBytes = sizeof(uint32_t) + sizeof(double);
+
 /// Parses a /v1/batch_pair body: one "A B" pair per line, '#' comments and
 /// blank lines ignored. Shared by the server's worker and the router
 /// (which must split a batch across shards pair by pair).

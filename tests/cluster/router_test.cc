@@ -10,7 +10,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "simrank/server/http_client.h"
 #include "simrank/server/server.h"
 #include "testing/fixtures.h"
+#include "testing/legacy_json.h"
 
 namespace simrank {
 namespace {
@@ -303,6 +306,185 @@ TEST(RouterTest, TopKTieOrderSpansShardsLikeSingleNode) {
         "/v1/single_source?v=10"}) {
     cluster.ExpectSameAsSingleNode(target);
   }
+}
+
+TEST(RouterTest, SingleSourceBodyMatchesLegacyFormatting) {
+  // Every row, merged from three shards' sparse partials, against the
+  // legacy per-entry formatter on the single-node dense row.
+  ClusterFixture cluster(testing::RandomGraph(45, 180, 21), /*num_shards=*/3);
+  for (VertexId v = 0; v < cluster.graph().n(); ++v) {
+    auto response =
+        HttpGet(cluster.router_port(), StrFormat("/v1/single_source?v=%u", v));
+    ASSERT_TRUE(response.ok());
+    ASSERT_EQ(response->status, 200) << response->body;
+    auto row = cluster.reference().SingleSource(v);
+    ASSERT_TRUE(row.ok());
+    std::string expected = StrFormat("{\"v\":%u,\"scores\":[", v);
+    for (const double score : **row) {
+      if (expected.back() != '[') expected += ',';
+      expected += testing::LegacyJsonDouble(score);
+    }
+    expected += "]}";
+    EXPECT_EQ(response->body, expected) << "row " << v;
+  }
+}
+
+/// A stand-in shard that answers the exchange ops with whatever body the
+/// test sets — the router's view of a buggy or hostile shard. Version
+/// headers are always valid, so only the frame itself can be at fault.
+class StubShard {
+ public:
+  explicit StubShard(const ShardPlan& plan)
+      : frontend_(StubOptions(), {{"stub", "/internal"}},
+                  [] { return std::string(); }) {
+    headers_ = {{"X-Graph-Fingerprint",
+                 FormatFingerprint(plan.graph_fingerprint)},
+                {"X-Overlay-Sequence", "0"},
+                {"X-Plan-Epoch", StrFormat("%llu", static_cast<unsigned long long>(
+                                                       plan.epoch))}};
+    auto answer = [this](std::string body) {
+      FrontendResponse response(200, std::move(body),
+                                "application/octet-stream");
+      response.headers = headers_;
+      return response;
+    };
+    // The row the router fans out; its content is never inspected here.
+    frontend_.AddRoute({"/internal/walks", "GET",
+                        [answer](const HttpRequest&) {
+                          return answer(std::string(16, '\0'));
+                        },
+                        nullptr, 0});
+    for (const char* path : {"/internal/partial", "/internal/topk"}) {
+      frontend_.AddRoute({path, "POST",
+                          [this, answer](const HttpRequest&) {
+                            std::lock_guard<std::mutex> lock(mutex_);
+                            return answer(reply_);
+                          },
+                          nullptr, 0});
+    }
+    OIPSIM_CHECK(frontend_.Bind().ok());
+    thread_ = std::thread([this] { OIPSIM_CHECK(frontend_.Serve().ok()); });
+  }
+
+  ~StubShard() {
+    frontend_.Shutdown();
+    thread_.join();
+  }
+
+  StubShard(const StubShard&) = delete;
+  StubShard& operator=(const StubShard&) = delete;
+
+  uint16_t port() const { return frontend_.port(); }
+
+  void SetReply(std::string reply) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    reply_ = std::move(reply);
+  }
+
+ private:
+  static FrontendOptions StubOptions() {
+    FrontendOptions options;
+    options.threads = 1;
+    options.watchdog_interval_ms = 0;
+    options.metrics_history_window_s = 0;
+    return options;
+  }
+
+  HttpFrontend frontend_;
+  std::vector<std::pair<std::string, std::string>> headers_;
+  std::mutex mutex_;
+  std::string reply_;
+  std::thread thread_;
+};
+
+/// Packed {u32 vertex, f64 score} records, as shards send them.
+std::string Records(std::initializer_list<ScoredVertex> records) {
+  std::string body;
+  for (const ScoredVertex& scored : records) {
+    body.append(reinterpret_cast<const char*>(&scored.vertex),
+                sizeof(uint32_t));
+    body.append(reinterpret_cast<const char*>(&scored.score), sizeof(double));
+  }
+  return body;
+}
+
+TEST(RouterTest, MalformedShardFramesAnswer500NamingShardAndOffset) {
+  // Two stub shards over 10 vertices: shard 0 owns [0, 5) and sends the
+  // frame under test, shard 1 owns [5, 10) and sends no nonzeros.
+  auto plan = ShardPlan::EvenSplit(10, 0x1234, 2);
+  ASSERT_TRUE(plan.ok());
+  StubShard shard0(*plan);
+  StubShard shard1(*plan);
+  RouterOptions options;
+  options.plan = *plan;
+  options.shards = {RouterShard{0, shard0.port(), 0},
+                    RouterShard{1, shard1.port(), 0}};
+  options.scrape_interval_ms = 0;
+  options.metrics_history_window_s = 0;
+  options.retries = 0;
+  SimRankRouter router(std::move(options));
+  ASSERT_TRUE(router.Bind().ok());
+  ASSERT_TRUE(router.Start().ok());
+
+  // A well-formed frame merges into the dense row.
+  shard0.SetReply(Records({{2, 0.5}, {4, 0.25}}));
+  auto good = HttpGet(router.port(), "/v1/single_source?v=1");
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(good->status, 200) << good->body;
+  EXPECT_EQ(good->body, "{\"v\":1,\"scores\":[0,0,0.5,0,0.25,0,0,0,0,0]}");
+  auto good_topk = HttpGet(router.port(), "/v1/topk?v=1&k=2");
+  ASSERT_TRUE(good_topk.ok());
+  EXPECT_EQ(good_topk->status, 200) << good_topk->body;
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    const char* target;
+    std::string reply;
+    const char* offset;  // the byte offset the error must name
+  };
+  const Case cases[] = {
+      {"truncated partial", "/v1/single_source?v=1",
+       Records({{2, 0.5}}) + "x", "byte 12"},
+      {"unsorted partial", "/v1/single_source?v=1",
+       Records({{3, 0.5}, {2, 0.25}}), "byte 12"},
+      {"duplicate partial", "/v1/single_source?v=1",
+       Records({{2, 0.5}, {2, 0.5}}), "byte 12"},
+      {"out-of-range partial", "/v1/single_source?v=1",
+       Records({{2, 0.5}, {7, 0.25}}), "byte 12"},
+      {"zero-score partial", "/v1/single_source?v=1",
+       Records({{1, 0.0}}), "byte 0"},
+      {"non-finite partial", "/v1/single_source?v=1",
+       Records({{1, 1.0}, {3, nan}}), "byte 12"},
+      {"oversized partial", "/v1/single_source?v=1",
+       Records({{0, 0.5}, {1, 1.0}, {2, 0.5}, {3, 0.5}, {4, 0.5}, {5, 0.5}}),
+       "byte 60"},
+      {"truncated topk", "/v1/topk?v=1&k=3",
+       Records({{2, 0.5}, {3, 0.25}}).substr(0, 20), "byte 12"},
+      {"out-of-range topk", "/v1/topk?v=1&k=3", Records({{9, 0.5}}),
+       "byte 0"},
+      {"duplicate topk", "/v1/topk?v=1&k=3",
+       Records({{3, 0.5}, {2, 0.25}, {3, 0.0}}), "byte 24"},
+      {"oversized topk", "/v1/topk?v=1&k=2",
+       Records({{3, 0.5}, {2, 0.25}, {4, 0.0}}), "byte 24"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    shard0.SetReply(c.reply);
+    auto response = HttpGet(router.port(), c.target);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 500) << response->body;
+    EXPECT_NE(response->body.find("shard 0"), std::string::npos)
+        << response->body;
+    EXPECT_NE(response->body.find(c.offset), std::string::npos)
+        << response->body;
+  }
+  // The router survived every case and still answers.
+  shard0.SetReply(Records({{2, 0.5}}));
+  auto after = HttpGet(router.port(), "/v1/single_source?v=1");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->status, 200) << after->body;
+  router.Shutdown();
 }
 
 TEST(RouterTest, BatchPairMatchesSingleNodeBitwise) {

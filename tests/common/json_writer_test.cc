@@ -293,5 +293,53 @@ TEST(JsonDoubleLegacyTest, WriterEmitsLegacyBytes) {
   EXPECT_LE(expected.size(), JsonDoubleArrayBound(row));
 }
 
+TEST(JsonWriterTest, SparseDoubleArrayMatchesDenseEmission) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  // Empty, all-zero, single-entry and dense rows, then random densities
+  // (zero runs shorter and longer than the bulk-copy chunk, nonzeros at
+  // both ends).
+  std::vector<std::vector<double>> rows = {
+      {}, {0.0}, {0.5}, std::vector<double>(200, 0.0),
+      std::vector<double>(70, 0.25)};
+  for (const uint32_t n : {1u, 63u, 64u, 65u, 129u, 1000u}) {
+    for (const int one_in : {1, 3, 40, 500}) {
+      std::vector<double> row(n, 0.0);
+      for (double& value : row) {
+        if (rng() % one_in == 0) value = unit(rng) + 1e-9;
+      }
+      if (n > 1 && rng() % 2 == 0) row.front() = 0.75;
+      if (n > 1 && rng() % 2 == 0) row.back() = 0.125;
+      rows.push_back(std::move(row));
+    }
+  }
+  for (const std::vector<double>& row : rows) {
+    std::vector<uint32_t> ids;
+    std::vector<double> values;
+    for (uint32_t i = 0; i < row.size(); ++i) {
+      if (row[i] != 0.0) {
+        ids.push_back(i);
+        values.push_back(row[i]);
+      }
+    }
+    JsonWriter dense;
+    dense.BeginObject().Key("scores").BeginArray();
+    for (const double value : row) dense.Double(value);
+    dense.EndArray().Key("after").Uint(1).EndObject();
+    JsonWriter sparse;
+    sparse.BeginObject()
+        .Key("scores")
+        .SparseDoubleArray(static_cast<uint32_t>(row.size()), ids, values)
+        .Key("after")
+        .Uint(1)
+        .EndObject();
+    EXPECT_EQ(sparse.str(), dense.str()) << "n=" << row.size();
+    const size_t envelope = std::string("{\"scores\":,\"after\":1}").size();
+    EXPECT_LE(sparse.str().size() - envelope,
+              JsonSparseDoubleArrayBound(static_cast<uint32_t>(row.size()),
+                                         values));
+  }
+}
+
 }  // namespace
 }  // namespace simrank

@@ -416,26 +416,40 @@ TEST(AccumulateBucketTest, BitwiseIdenticalToScalarOnValidBuckets) {
     }
     const uint32_t round = 42;
     const double weight = 0.015625;
-    // Some vertices already met this round, some stale.
+    // Some vertices already met this round, some stale, some never met
+    // (stamp 0: those are the first touches the kernel reports).
     std::vector<uint32_t> met_base(n);
     std::vector<double> result_base(n);
     for (uint32_t v = 0; v < n; ++v) {
-      met_base[v] =
-          std::uniform_int_distribution<int>(0, 2)(rng) == 0 ? round : 7;
+      const int kind = std::uniform_int_distribution<int>(0, 2)(rng);
+      met_base[v] = kind == 0 ? round : (kind == 1 ? 7 : 0);
       result_base[v] =
           std::uniform_real_distribution<double>(0.0, 1.0)(rng);
     }
     std::vector<uint32_t> met_expected = met_base;
     std::vector<double> result_expected = result_base;
-    AccumulateBucket(SimdLevel::kScalar, vertices.data(), vertices.size(),
-                     round, weight, met_expected.data(),
-                     result_expected.data());
+    std::vector<uint32_t> touched_expected(vertices.size());
+    touched_expected.resize(AccumulateBucket(
+        SimdLevel::kScalar, vertices.data(), vertices.size(), round, weight,
+        met_expected.data(), result_expected.data(),
+        touched_expected.data()));
+    // The first touches are exactly the bucket's never-met vertices, in
+    // bucket order.
+    std::vector<uint32_t> never_met;
+    for (const uint32_t v : vertices) {
+      if (met_base[v] == 0) never_met.push_back(v);
+    }
+    EXPECT_EQ(touched_expected, never_met);
     for (SimdLevel level : TestableLevels()) {
       std::vector<uint32_t> met = met_base;
       std::vector<double> result = result_base;
-      AccumulateBucket(level, vertices.data(), vertices.size(), round,
-                       weight, met.data(), result.data());
+      std::vector<uint32_t> touched(vertices.size());
+      touched.resize(AccumulateBucket(level, vertices.data(),
+                                      vertices.size(), round, weight,
+                                      met.data(), result.data(),
+                                      touched.data()));
       EXPECT_EQ(met, met_expected) << SimdLevelName(level);
+      EXPECT_EQ(touched, touched_expected) << SimdLevelName(level);
       // Same adds in the same order: bitwise-equal doubles, not just near.
       for (uint32_t v = 0; v < n; ++v) {
         ASSERT_EQ(result[v], result_expected[v])

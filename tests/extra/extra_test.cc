@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
+#include "simrank/common/rng.h"
 #include "simrank/core/naive.h"
 #include "simrank/core/psum.h"
 #include "simrank/extra/montecarlo.h"
@@ -45,6 +49,79 @@ TEST(TopKTest, TiesBrokenByAscendingId) {
   scores(0, 3) = 0.5;
   auto ids = TopKIds(scores, 0, 3);
   EXPECT_EQ(ids, (std::vector<VertexId>{1, 2, 3}));
+}
+
+/// A sparse row of length n with `nnz` stored entries drawn from a few
+/// distinct values (so scores tie), the query vertex stored at 1.0.
+SparseRow TiedSparseRow(uint32_t n, uint32_t nnz, VertexId query,
+                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<bool> stored(n, false);
+  stored[query] = true;
+  for (uint32_t placed = 1; placed < nnz;) {
+    const auto v = static_cast<VertexId>(rng.NextUint64(n));
+    if (!stored[v]) {
+      stored[v] = true;
+      ++placed;
+    }
+  }
+  static constexpr double kLevels[] = {0.5, 0.25, 0.125};
+  SparseRow row;
+  row.n = n;
+  for (VertexId v = 0; v < n; ++v) {
+    if (!stored[v]) continue;
+    row.ids.push_back(v);
+    row.scores.push_back(v == query ? 1.0 : kLevels[rng.NextUint64(3)]);
+  }
+  return row;
+}
+
+TEST(TopKTest, SparseMatchesDenseOracleBitwise) {
+  const uint32_t n = 40;
+  for (const uint32_t nnz : {1u, 2u, 9u, 40u}) {
+    for (const VertexId query : {0u, 17u, 39u}) {
+      const SparseRow row = TiedSparseRow(n, nnz, query, nnz * 131 + query);
+      const std::vector<double> dense = row.Dense();
+      for (const bool exclude : {true, false}) {
+        for (const uint32_t k :
+             {1u, nnz - 1, nnz, nnz + 3, n - 1, n + 5}) {
+          if (k == 0) continue;
+          SCOPED_TRACE(::testing::Message()
+                       << "nnz=" << nnz << " query=" << query
+                       << " exclude=" << exclude << " k=" << k);
+          const auto want = TopKFromRow(dense, query, k, exclude);
+          const auto got = TopKFromSparse(row, query, k, exclude);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].vertex, want[i].vertex) << "rank " << i;
+            EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score,
+                                  sizeof(double)),
+                      0)
+                << "rank " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TopKTest, SparseRangeRanksOnlyItsSlice) {
+  const SparseRow row = TiedSparseRow(30, 12, 4, 99);
+  const std::vector<double> dense = row.Dense();
+  for (const uint32_t k : {1u, 5u, 12u}) {
+    const auto got = TopKFromSparseRange(row, 10, 20, 4, k);
+    // The oracle: the dense top-k over the slice (the query, 4, lies
+    // outside it), ids shifted back.
+    const auto slice =
+        TopKFromRow(std::span<const double>(dense).subspan(10, 10), 0, k,
+                    /*exclude_query=*/false);
+    ASSERT_EQ(got.size(), slice.size()) << "k=" << k;
+    for (size_t i = 0; i < slice.size(); ++i) {
+      EXPECT_EQ(got[i].vertex, slice[i].vertex + 10) << "k=" << k;
+      EXPECT_EQ(got[i].score, slice[i].score) << "k=" << k;
+    }
+  }
+  EXPECT_TRUE(TopKFromSparseRange(row, 20, 20, 4, 3).empty());
 }
 
 TEST(SinglePairTest, MatchesAllPairsIteration) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <thread>
+#include <vector>
 
 #include "simrank/core/naive.h"
 #include "simrank/extra/topk.h"
@@ -253,6 +256,116 @@ TEST(ShardedLruCacheTest, ClearDropsEverythingKeepsCounters) {
   // Reusable after the clear.
   cache.Put(1, 11);
   ASSERT_TRUE(cache.Get(1).has_value());
+}
+
+TEST(ShardedLruCacheTest, ResidentBytesFollowPutsEvictionsAndClears) {
+  ShardedLruCache<int, int> cache(/*num_shards=*/1,
+                                  /*capacity_per_shard=*/2);
+  cache.Put(1, 10, 100);
+  cache.Put(2, 20, 30);
+  EXPECT_EQ(cache.stats().resident_bytes, 130u);
+  cache.Put(1, 11, 40);  // replaces 1's charge
+  EXPECT_EQ(cache.stats().resident_bytes, 70u);
+  cache.Put(3, 30, 5);  // evicts 2 (1 was refreshed by its re-Put)
+  EXPECT_EQ(cache.stats().resident_bytes, 45u);
+  EXPECT_TRUE(cache.Erase(1));
+  EXPECT_EQ(cache.stats().resident_bytes, 5u);
+  cache.Put(4, 40, 7);
+  cache.Clear();
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+}
+
+TEST(QueryEngineTest, CacheResidentBytesTrackSparseRows) {
+  DiGraph graph = testing::RandomGraph(80, 320, 13);
+  WalkIndex index = BuildIndex(graph, 64);
+  QueryEngine engine(index);
+  EXPECT_EQ(engine.cache_stats().resident_bytes, 0u);
+  uint64_t previous = 0;
+  uint64_t stored_entries = 0;
+  for (VertexId v = 0; v < 10; ++v) {
+    auto row = engine.SingleSourceSparse(v);
+    ASSERT_TRUE(row.ok());
+    stored_entries += (*row)->nnz();
+    const uint64_t bytes = engine.cache_stats().resident_bytes;
+    // Each miss adds its row: at least 12 B per stored entry.
+    EXPECT_GE(bytes, previous + 12 * (*row)->nnz()) << v;
+    previous = bytes;
+  }
+  EXPECT_GE(previous, 12 * stored_entries);
+  // Hits — through every query shape — leave the total alone.
+  ASSERT_TRUE(engine.SingleSourceSparse(3).ok());
+  ASSERT_TRUE(engine.SingleSource(3).ok());
+  ASSERT_TRUE(engine.TopK(4, 5).ok());
+  ASSERT_TRUE(engine.Pair(5, 60).ok());
+  EXPECT_EQ(engine.cache_stats().resident_bytes, previous);
+  engine.InvalidateCache();
+  EXPECT_EQ(engine.cache_stats().resident_bytes, 0u);
+
+  // Evictions give the bytes back: a one-row cache holds exactly what a
+  // fresh one-row cache holds after loading only the last row.
+  QueryEngineOptions one_row;
+  one_row.cache_shards = 1;
+  one_row.cache_capacity_per_shard = 1;
+  QueryEngine churned(index, one_row);
+  for (VertexId v = 0; v < 5; ++v) ASSERT_TRUE(churned.TopK(v, 3).ok());
+  QueryEngine single(index, one_row);
+  ASSERT_TRUE(single.TopK(4, 3).ok());
+  EXPECT_EQ(churned.cache_stats().resident_bytes,
+            single.cache_stats().resident_bytes);
+}
+
+TEST(QueryEngineTest, SparseRowExpandsToTheDenseRow) {
+  DiGraph graph = testing::RandomGraph(50, 200, 17);
+  WalkIndex index = BuildIndex(graph, 64);
+  QueryEngine engine(index);
+  for (VertexId v = 0; v < graph.n(); ++v) {
+    auto sparse = engine.SingleSourceSparse(v);
+    auto dense = engine.SingleSource(v);
+    ASSERT_TRUE(sparse.ok());
+    ASSERT_TRUE(dense.ok());
+    EXPECT_EQ((*sparse)->Dense(), **dense) << v;
+    EXPECT_EQ(**dense, index.EstimateSingleSource(v)) << v;
+    for (VertexId b = 0; b < graph.n(); b += 7) {
+      auto pair = engine.Pair(v, b);
+      ASSERT_TRUE(pair.ok());
+      EXPECT_EQ(*pair, (**dense)[b]) << v << "," << b;
+    }
+  }
+}
+
+TEST(QueryEngineTest, ConcurrentReadersShareCachedRows) {
+  // Four threads hit the same few rows through every query shape at once:
+  // the per-thread accumulation scratch, the cache and each row's shared
+  // dense expansion must all hand back the single-threaded answers.
+  DiGraph graph = testing::RandomGraph(60, 240, 19);
+  WalkIndex index = BuildIndex(graph, 48);
+  std::vector<std::vector<double>> rows;
+  for (VertexId v = 0; v < 6; ++v) {
+    rows.push_back(index.EstimateSingleSource(v));
+  }
+  QueryEngine engine(index);
+  std::vector<std::thread> readers;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const auto v = static_cast<VertexId>((i + t) % 6);
+        auto dense = engine.SingleSource(v);
+        auto sparse = engine.SingleSourceSparse(v);
+        auto top = engine.TopK(v, 4);
+        auto pair = engine.Pair(v, static_cast<VertexId>(i % 60));
+        if (!dense.ok() || **dense != rows[v] || !sparse.ok() ||
+            (*sparse)->Dense() != rows[v] || !top.ok() ||
+            *top != TopKFromRow(rows[v], v, 4) || !pair.ok() ||
+            *pair != rows[v][i % 60]) {
+          mismatches.fetch_add(1);
+        }
+        if (i % 50 == 49) engine.InvalidateCache();
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(QueryEngineTest, StaleRowsReadAsMissesAfterOverlayPublish) {

@@ -1,21 +1,25 @@
 // Dispatch-correctness suite for the serve-path SIMD kernels: every tier
 // (scalar / SSE4 / AVX2, forced via SIMRANK_SIMD_LEVEL) must produce
 // byte-identical query results and byte-identical corruption diagnostics,
-// on both storage backends and both segment encodings. This is the
+// on both storage backends and both segment encodings — including the
+// sparse single-source core, with and without an update overlay. This is the
 // executable statement of the repo's bitwise-equality discipline for the
 // vector fast paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "simrank/common/simd.h"
 #include "simrank/extra/topk.h"
+#include "simrank/index/index_updater.h"
 #include "simrank/index/query_engine.h"
 #include "simrank/index/walk_index.h"
 #include "simrank/index/walk_store.h"
@@ -234,6 +238,121 @@ TEST_P(SimdDispatchTest, CorruptionDiagnosticsMatchAcrossTiers) {
   }
   // The sweep must have exercised real corruption, not just harmless flips.
   EXPECT_GT(corrupt_cases, 0u);
+}
+
+// Checks every vertex's sparse row under `overlay` against the O(R·L·n)
+// scan over the flat walk table under the same overlay: the expansion is
+// bitwise the scan's row, and the entries keep the SparseRow invariants.
+void ExpectSparseRowsMatchScan(const WalkIndex& index,
+                               const DeltaOverlay* overlay) {
+  const std::vector<uint32_t> walks = index.WalkTable(overlay);
+  for (VertexId v = 0; v < index.n(); ++v) {
+    const SparseRow sparse = index.EstimateSingleSourceSparse(v, overlay);
+    ASSERT_EQ(sparse.n, index.n());
+    ASSERT_EQ(sparse.ids.size(), sparse.scores.size());
+    for (size_t i = 0; i < sparse.ids.size(); ++i) {
+      ASSERT_LT(sparse.ids[i], sparse.n);
+      if (i > 0) ASSERT_LT(sparse.ids[i - 1], sparse.ids[i]);
+      ASSERT_GT(sparse.scores[i], 0.0);
+    }
+    const std::vector<double> dense = sparse.Dense();
+    const std::vector<double> scan = index.EstimateSingleSourceScan(v, walks);
+    ASSERT_EQ(dense.size(), scan.size());
+    ASSERT_EQ(std::memcmp(dense.data(), scan.data(),
+                          scan.size() * sizeof(double)),
+              0)
+        << "row " << v;
+  }
+}
+
+TEST_P(SimdDispatchTest, SparseRowsExpandToTheScanAtEveryTier) {
+  const BackendEncoding param = GetParam();
+  const DiGraph graph = testing::RandomGraph(50, 200, 37);
+  WalkIndexOptions options;
+  options.num_fingerprints = 64;
+  options.walk_length = 6;
+  auto built = WalkIndex::Build(graph, options);
+  ASSERT_TRUE(built.ok());
+  const std::string path = TempPath("index.widx");
+  WalkIndex::SaveOptions save;
+  save.compress = param.compress;
+  ASSERT_TRUE(built->Save(path, save).ok());
+  WalkIndex::LoadOptions load;
+  load.use_mmap = param.use_mmap;
+  // Two edges absent from the graph, for the overlay batch.
+  std::vector<Edge> fresh;
+  for (VertexId src = 0; fresh.size() < 2; ++src) {
+    for (VertexId dst = 0; dst < graph.n() && fresh.size() < 2; ++dst) {
+      if (src != dst && !graph.HasEdge(src, dst)) {
+        fresh.push_back(Edge{src, dst});
+      }
+    }
+  }
+
+  for (const char* tier : RunnableTiers()) {
+    SCOPED_TRACE(tier);
+    ScopedSimdLevel forced(tier);
+    auto index = WalkIndex::Load(path, load);
+    ASSERT_TRUE(index.ok()) << index.status().message();
+    ExpectSparseRowsMatchScan(*index, nullptr);
+
+    const std::string wal_path = TempPath(std::string(tier) + ".wal");
+    std::remove(wal_path.c_str());
+    IndexUpdaterOptions updater_options;
+    updater_options.wal_path = wal_path;
+    auto updater = IndexUpdater::Open(*index, graph, updater_options);
+    ASSERT_TRUE(updater.ok()) << updater.status().ToString();
+    const std::vector<EdgeUpdate> batch = {
+        {EdgeUpdate::Op::kInsert, fresh[0].src, fresh[0].dst},
+        {EdgeUpdate::Op::kInsert, fresh[1].src, fresh[1].dst},
+        {EdgeUpdate::Op::kDelete, graph.Edges()[5].src,
+         graph.Edges()[5].dst}};
+    ASSERT_TRUE((*updater)->ApplyUpdates(batch).ok());
+    const auto overlay = index->overlay_snapshot();
+    ASSERT_NE(overlay, nullptr);
+    ExpectSparseRowsMatchScan(*index, overlay.get());
+  }
+}
+
+// The accumulation scratch is per thread and reused: rows computed back to
+// back on one thread — across two indexes of different n, in both orders —
+// must equal the rows a fresh thread computes, so no query leaves state
+// behind for the next.
+TEST(SparseCoreTest, BackToBackQueriesAcrossIndexesLeaveNoScratchState) {
+  WalkIndexOptions options;
+  options.num_fingerprints = 48;
+  options.walk_length = 6;
+  auto small = WalkIndex::Build(testing::RandomGraph(30, 120, 41), options);
+  auto large = WalkIndex::Build(testing::RandomGraph(90, 400, 43), options);
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(large.ok());
+  // Reference rows, each from its own fresh thread.
+  auto fresh_row = [](const WalkIndex& index, VertexId v) {
+    std::vector<double> row;
+    std::thread([&] { row = index.EstimateSingleSource(v); }).join();
+    return row;
+  };
+  std::vector<std::vector<double>> small_rows;
+  std::vector<std::vector<double>> large_rows;
+  for (VertexId v = 0; v < small->n(); ++v) {
+    small_rows.push_back(fresh_row(*small, v));
+  }
+  for (VertexId v = 0; v < large->n(); ++v) {
+    large_rows.push_back(fresh_row(*large, v));
+  }
+  std::thread([&] {
+    // Small first (the scratch grows later), then interleaved, then the
+    // small index again after the large one left its scratch wider.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (VertexId v = 0; v < large->n(); ++v) {
+        const VertexId s = v % small->n();
+        EXPECT_EQ(small->EstimateSingleSource(s), small_rows[s])
+            << "pass " << pass << " small " << s;
+        EXPECT_EQ(large->EstimateSingleSource(v), large_rows[v])
+            << "pass " << pass << " large " << v;
+      }
+    }
+  }).join();
 }
 
 INSTANTIATE_TEST_SUITE_P(

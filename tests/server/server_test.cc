@@ -179,6 +179,71 @@ TEST(ServerTest, SingleSourceBodyMatchesLegacyFormatting) {
   }
 }
 
+/// The /v1/single_source body the legacy per-entry formatter writes for
+/// the dense row s(v, ·).
+std::string LegacySingleSourceBody(VertexId v,
+                                   const std::vector<double>& row) {
+  std::string body = StrFormat("{\"v\":%u,\"scores\":[", v);
+  for (const double score : row) {
+    if (body.back() != '[') body += ',';
+    body += testing::LegacyJsonDouble(score);
+  }
+  return body + "]}";
+}
+
+TEST(ServerTest, SparseSingleSourceBodyMatchesLegacyFormattingEverywhere) {
+  // Every row of the fixture (first and last vertices included, so zero
+  // runs at both ends of the array are covered), before and after an
+  // update, against the legacy formatter on the dense row.
+  ServerFixture fixture(ServerOptions{}, /*fingerprints=*/64,
+                        /*with_updater=*/true);
+  auto client = LoopbackHttpClient::Connect(fixture.port());
+  ASSERT_TRUE(client.ok());
+  auto check_every_row = [&](const char* phase) {
+    for (VertexId v = 0; v < fixture.graph().n(); ++v) {
+      auto response = client->Get(StrFormat("/v1/single_source?v=%u", v));
+      ASSERT_TRUE(response.ok());
+      ASSERT_EQ(response->status, 200) << response->body;
+      EXPECT_EQ(response->body, LegacySingleSourceBody(
+                                    v, fixture.index().EstimateSingleSource(v)))
+          << phase << " row " << v;
+    }
+  };
+  check_every_row("base");
+  const Edge fresh = fixture.FreshEdge();
+  auto update = HttpPost(fixture.port(), "/v1/update",
+                         StrFormat("+ %u %u\n", fresh.src, fresh.dst));
+  ASSERT_TRUE(update.ok());
+  ASSERT_EQ(update->status, 200) << update->body;
+  check_every_row("overlay");
+}
+
+TEST(ServerTest, RowCacheBytesSurfaceInStatsAndMetrics) {
+  ServerFixture fixture;
+  auto resident = [&fixture]() {
+    auto stats = HttpGet(fixture.port(), "/v1/stats");
+    OIPSIM_CHECK(stats.ok());
+    size_t cursor = stats->body.find("\"cache\":{");
+    OIPSIM_CHECK(cursor != std::string::npos);
+    return FindJsonNumber(stats->body, "resident_bytes", &cursor);
+  };
+  EXPECT_EQ(resident(), 0.0);
+  ASSERT_EQ(HttpGet(fixture.port(), "/v1/topk?v=5&k=3")->status, 200);
+  const double one_row = resident();
+  EXPECT_GT(one_row, 0.0);
+  ASSERT_EQ(HttpGet(fixture.port(), "/v1/single_source?v=9")->status, 200);
+  const double two_rows = resident();
+  EXPECT_GT(two_rows, one_row);
+  auto metrics = HttpGet(fixture.port(), "/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->body.find("# TYPE simrank_row_cache_bytes gauge"),
+            std::string::npos);
+  EXPECT_NE(metrics->body.find(StrFormat(
+                "simrank_row_cache_bytes %llu\n",
+                static_cast<unsigned long long>(two_rows))),
+            std::string::npos);
+}
+
 TEST(ServerTest, TopKMatchesDirectEngineBitwise) {
   ServerFixture fixture;
   auto client = LoopbackHttpClient::Connect(fixture.port());
